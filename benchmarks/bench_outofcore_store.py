@@ -4,14 +4,15 @@ Two experiments:
 
 * ``test_outofcore_million_subscriptions`` — the acceptance run.  A
   bulk-encrypted workload (1M subscriptions at ``REPRO_BENCH_SCALE=1``)
-  is loaded twice: into a dense in-RAM :class:`AspeLibrary` and into a
-  :class:`ShardedAspeLibrary` on the ``mmap`` backend whose *total*
-  resident budget is 25% of the dense footprint.  The mmap run must
-  produce byte-identical match lists — across a runtime shard split and
-  merge performed mid-stream — stay under its residency budget, and keep
-  at least half the dense matching throughput.
+  is loaded twice: into an in-RAM :class:`AspeLibrary` (no memory
+  budget) and into a :class:`ShardedAspeLibrary` whose store spills to
+  ``mmap`` files under a *total* resident budget of 25% of the in-RAM
+  footprint.  The mmap run must produce byte-identical match lists —
+  across a runtime shard split and merge performed mid-stream — stay
+  under its residency budget, and keep at least half the in-RAM
+  matching throughput.
 * ``test_outofcore_hub_reshard`` — end-to-end determinism.  The same
-  publications flow through two full AP→M→EP deployments (dense vs
+  publications flow through two full AP→M→EP deployments (in-RAM vs
   sharded+mmap with live ``runtime.reshard`` split/merge mid-run); the
   notification logs must be byte-identical.
 
@@ -97,12 +98,12 @@ def test_outofcore_million_subscriptions(report):
     subscriptions = _subscription_count()
     publications = _publications(SEED, PUBLICATIONS)
 
-    # Dense in-RAM baseline.
-    dense = AspeLibrary(store_config=StoreConfig(backend="dense"))
-    dense_load_s = _load(dense, SEED, subscriptions)
-    dense_results, dense_match_s = _match_all(dense, publications)
-    dense_bytes = dense.store_stats()["resident_bytes"]
-    budget_bytes = int(math.ceil(dense_bytes * BUDGET_FRACTION))
+    # In-RAM baseline: the same store with no memory budget.
+    ram = AspeLibrary(store_config=StoreConfig())
+    ram_load_s = _load(ram, SEED, subscriptions)
+    ram_results, ram_match_s = _match_all(ram, publications)
+    ram_bytes = ram.store_stats()["resident_bytes"]
+    budget_bytes = int(math.ceil(ram_bytes * BUDGET_FRACTION))
     # The split doubles the store count mid-run and each store enforces
     # its own budget, so give every store half of the total allowance —
     # the aggregate stays within BUDGET_FRACTION even at two shards.
@@ -114,7 +115,6 @@ def test_outofcore_million_subscriptions(report):
     chunk_rows = _chunk_rows(2 * subscriptions)
     sharded = ShardedAspeLibrary(
         store_config=StoreConfig(
-            backend="mmap",
             chunk_rows=chunk_rows,
             memory_budget_mb=per_store_mb,
         )
@@ -133,24 +133,24 @@ def test_outofcore_million_subscriptions(report):
     )
     stats = sharded.store_stats()
 
-    identical = dense_results == mmap_results
-    dense_pub_s = PUBLICATIONS / dense_match_s
+    identical = ram_results == mmap_results
+    ram_pub_s = PUBLICATIONS / ram_match_s
     mmap_pub_s = PUBLICATIONS / mmap_match_s
-    ratio = mmap_pub_s / dense_pub_s
-    matches = sum(len(ids) for ids in dense_results)
+    ratio = mmap_pub_s / ram_pub_s
+    matches = sum(len(ids) for ids in ram_results)
 
     RESULTS.update(
         {
             "subscriptions": subscriptions,
             "rows": stats["rows"],
-            "dense_bytes": dense_bytes,
+            "ram_bytes": ram_bytes,
             "budget_bytes": budget_bytes,
             "resident_peak_bytes": stats["resident_peak_bytes"],
             "faults": stats["faults"],
             "evictions": stats["evictions"],
-            "dense_load_s": dense_load_s,
+            "ram_load_s": ram_load_s,
             "mmap_load_s": mmap_load_s,
-            "dense_match_pub_s": dense_pub_s,
+            "ram_match_pub_s": ram_pub_s,
             "mmap_match_pub_s": mmap_pub_s,
             "throughput_ratio": ratio,
             "match_lists_identical": identical,
@@ -161,22 +161,22 @@ def test_outofcore_million_subscriptions(report):
     report()
     report(f"Out-of-core ASPE store ({subscriptions:,} subscriptions, "
            f"{stats['rows']:,} packed rows)")
-    report(f"  dense footprint : {dense_bytes / 1e6:10.1f} MB "
-           f"(load {dense_load_s:6.1f} s)")
+    report(f"  in-RAM footprint: {ram_bytes / 1e6:10.1f} MB "
+           f"(load {ram_load_s:6.1f} s)")
     report(f"  mmap budget     : {budget_bytes / 1e6:10.1f} MB "
-           f"({BUDGET_FRACTION:.0%} of dense; load {mmap_load_s:6.1f} s)")
+           f"({BUDGET_FRACTION:.0%} of in-RAM; load {mmap_load_s:6.1f} s)")
     report(f"  resident peak   : {stats['resident_peak_bytes'] / 1e6:10.1f} MB "
            f"({stats['faults']} faults, {stats['evictions']} evictions)")
-    report(f"  dense matching  : {dense_pub_s:10.2f} pub/s "
+    report(f"  in-RAM matching : {ram_pub_s:10.2f} pub/s "
            f"({matches:,} matches over {PUBLICATIONS} publications)")
     report(f"  mmap matching   : {mmap_pub_s:10.2f} pub/s "
-           f"({ratio:.2f}x dense; floor 0.5x)")
+           f"({ratio:.2f}x in-RAM; floor 0.5x)")
     report(f"  split rewrote   : {RESULTS['split']['rows_rewritten']:,} rows; "
            f"merge rewrote {RESULTS['merge']['rows_rewritten']:,}")
     report(f"  match lists     : "
            + ("byte-identical across split+merge" if identical else "DIVERGED"))
 
-    assert identical, "mmap/sharded match lists diverged from dense"
+    assert identical, "mmap/sharded match lists diverged from in-RAM"
     assert RESULTS["merge"]["rows_rewritten"] == 0
     assert stats["resident_peak_bytes"] <= budget_bytes
     # The throughput floor is an asymptotic claim: below ~100k subs the
@@ -196,18 +196,17 @@ def _export_curve(report, subscriptions: int) -> None:
     """Throughput-vs-budget curve at a fixed sub-count, then export."""
     curve_subs = min(subscriptions, 100_000)
     curve_pubs = _publications(SEED + 1, 16)
-    dense = AspeLibrary(store_config=StoreConfig(backend="dense"))
-    _load(dense, SEED + 1, curve_subs)
-    baseline, baseline_s = _match_all(dense, curve_pubs)
-    dense_bytes = dense.store_stats()["resident_bytes"]
+    ram = AspeLibrary(store_config=StoreConfig())
+    _load(ram, SEED + 1, curve_subs)
+    baseline, baseline_s = _match_all(ram, curve_pubs)
+    ram_bytes = ram.store_stats()["resident_bytes"]
 
     curve = []
     for fraction in CURVE_FRACTIONS:
         library = AspeLibrary(
             store_config=StoreConfig(
-                backend="mmap",
                 chunk_rows=_chunk_rows(2 * curve_subs),
-                memory_budget_mb=dense_bytes * fraction / (1024 * 1024),
+                memory_budget_mb=ram_bytes * fraction / (1024 * 1024),
             )
         )
         _load(library, SEED + 1, curve_subs)
@@ -231,7 +230,7 @@ def _export_curve(report, subscriptions: int) -> None:
     for point in curve:
         report(
             f"    {point['budget_fraction']:4.0%} budget: "
-            f"{point['relative_throughput']:5.2f}x dense, "
+            f"{point['relative_throughput']:5.2f}x in-RAM, "
             f"{point['faults']:5d} faults"
         )
 
@@ -291,7 +290,7 @@ def test_outofcore_hub_reshard(report):
                 return ExactBackend(
                     ShardedAspeLibrary(
                         store_config=StoreConfig(
-                            backend="mmap", chunk_rows=64, memory_budget_mb=1
+                            chunk_rows=64, memory_budget_mb=1
                         )
                     )
                 )
@@ -317,7 +316,7 @@ def test_outofcore_hub_reshard(report):
         log = [(n.pub_id, n.subscriber_ids) for n in hub.notification_log]
         return log, hub
 
-    dense_log, _ = run(sharded=False)
+    ram_log, _ = run(sharded=False)
     sharded_log, hub = run(sharded=True)
 
     report()
@@ -325,9 +324,9 @@ def test_outofcore_hub_reshard(report):
            f"{publications} publications)")
     report(f"  shard ops       : {hub.runtime.shard_ops_completed} "
            f"(split + merge on M:0, live)")
-    report(f"  notifications   : {len(dense_log)} "
-           + ("byte-identical" if dense_log == sharded_log else "DIVERGED"))
+    report(f"  notifications   : {len(ram_log)} "
+           + ("byte-identical" if ram_log == sharded_log else "DIVERGED"))
     assert hub.runtime.shard_ops_completed == 2
-    assert dense_log == sharded_log
-    RESULTS["hub_notifications"] = len(dense_log)
-    RESULTS["hub_log_identical"] = dense_log == sharded_log
+    assert ram_log == sharded_log
+    RESULTS["hub_notifications"] = len(ram_log)
+    RESULTS["hub_log_identical"] = ram_log == sharded_log

@@ -83,19 +83,16 @@ def _add_match_options(p: argparse.ArgumentParser) -> None:
 
 def _add_store_options(p: argparse.ArgumentParser) -> None:
     """Out-of-core packed-row store knobs (exact ASPE backends only)."""
-    from .filtering import STORE_BACKENDS
-
-    p.add_argument(
-        "--store-backend", choices=list(STORE_BACKENDS), default=None,
-        help="packed-row backing store (default: REPRO_STORE_BACKEND or dense)",
-    )
     p.add_argument(
         "--store-chunk-rows", type=_positive_chunk_rows, default=None,
-        help="rows per store chunk (default: REPRO_STORE_CHUNK_ROWS or 65536)",
+        help="maximum rows per store chunk (default: REPRO_STORE_CHUNK_ROWS "
+        "or 65536)",
     )
     p.add_argument(
         "--store-memory-budget-mb", type=float, default=None,
-        help="mmap resident-set budget per library in MiB (0 = unbounded)",
+        help="resident-set budget per library in MiB; > 0 spills chunks to "
+        "memory-mapped files (default: REPRO_STORE_MEMORY_BUDGET_MB or 0 = "
+        "all in RAM)",
     )
     p.add_argument(
         "--store-compact-dead-ratio", type=float, default=None,
@@ -245,7 +242,6 @@ def _store_overrides(args) -> dict:
     """HubConfig store kwargs for the --store-* flags the user passed."""
     overrides = {}
     for attr, field in (
-        ("store_backend", "store_backend"),
         ("store_chunk_rows", "store_chunk_rows"),
         ("store_memory_budget_mb", "store_memory_budget_mb"),
         ("store_compact_dead_ratio", "store_compact_dead_ratio"),

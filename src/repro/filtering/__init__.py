@@ -6,8 +6,9 @@
 * :mod:`repro.filtering.aspe` — real ASPE encrypted filtering.
 * :mod:`repro.filtering.backends` — exact/sampled matching backends used
   by simulated M-operator slices.
-* :mod:`repro.filtering.store` — chunked/mmap packed-row backing stores
-  and key-range shard split/merge (DESIGN.md §8).
+* :mod:`repro.filtering.store` — the chunked packed-row store (in RAM,
+  or spilled to memory-mapped files under a budget) and key-range shard
+  split/merge (DESIGN.md §8).
 * :mod:`repro.filtering.cost` — the calibrated CPU/size cost model.
 """
 
@@ -27,7 +28,6 @@ from .aspe import (
 )
 from .aspe_split import AspeSplitCipher, AspeSplitKey
 from .store import (
-    STORE_BACKENDS,
     AspeShard,
     ChunkedMatrixStore,
     ShardOpResult,
@@ -51,7 +51,6 @@ __all__ = [
     "AspeSplitCipher",
     "AspeSplitKey",
     "ChunkedMatrixStore",
-    "STORE_BACKENDS",
     "ShardOpResult",
     "ShardedAspeLibrary",
     "StoreConfig",

@@ -299,6 +299,60 @@ _OP_SIGN = {"gt": 1.0, "ge": 1.0, "lt": -1.0, "le": -1.0}
 #: Strict comparisons exclude the tolerance band, non-strict include it.
 _OP_STRICT = {"gt": True, "ge": False, "lt": True, "le": False}
 
+
+def _fold_rows(predicates, matrix: np.ndarray, strict: np.ndarray) -> None:
+    """Write ``predicates`` as direction-folded rows plus strict flags.
+
+    A ``lt``/``le`` query vector is negated on the way in.  Folding the
+    ±1 comparison direction into the row is exact: IEEE negation
+    commutes with sums and products bit-for-bit.
+    """
+    for row, predicate in enumerate(predicates):
+        if _OP_SIGN[predicate.op_code] < 0.0:
+            np.negative(predicate.vector, out=matrix[row])
+        else:
+            matrix[row] = predicate.vector
+        strict[row] = _OP_STRICT[predicate.op_code]
+
+
+def _tolerances(matrix, strict, tol_base, tol_signed) -> None:
+    """Fill the per-row tolerance base ``_REL_TOL · (‖q̂‖ + 1)`` and its
+    sign-folded copy (``+base`` for strict rows, ``−base`` otherwise).
+
+    Per-row norms reduce element-independently, so any row blocking of
+    the same rows yields bit-identical values.  Folding the decision side
+    into the sign is exact too (``s·(−a) == −(s·a)``), which lets
+    :func:`match_packed` decide every row with one comparison pass.
+    """
+    np.multiply(_REL_TOL, np.linalg.norm(matrix, axis=1) + 1.0, out=tol_base)
+    tol_signed[:] = np.where(strict, tol_base, -tol_base)
+
+
+def _pack(groups, total: int, width: int):
+    """Stage the rows of several predicate tuples as one block:
+    ``(matrix, strict, tol_base, tol_signed)``."""
+    matrix = np.empty((total, width))
+    strict = np.empty(total, dtype=bool)
+    row = 0
+    for predicates in groups:
+        stop = row + len(predicates)
+        _fold_rows(predicates, matrix[row:stop], strict[row:stop])
+        row = stop
+    tol_base = np.empty(total)
+    tol_signed = np.empty(total)
+    _tolerances(matrix, strict, tol_base, tol_signed)
+    return matrix, strict, tol_base, tol_signed
+
+
+def _local_bounds(bounds: np.ndarray, base: int, rows: int) -> np.ndarray:
+    """Sorted row ``bounds`` relative to a chunk of ``rows`` rows starting
+    at row ``base``, clipped to it — a view when nothing shifts or clips
+    (a store held in one chunk)."""
+    if base == 0 and bounds[-1] <= rows:
+        return bounds
+    return np.clip(bounds - base, 0, rows)
+
+
 def _fresh_workspace(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
     """Workspace provider allocating a fresh buffer per request."""
     return np.empty(shape, dtype=dtype)
@@ -312,25 +366,28 @@ def match_packed(
     stops: np.ndarray,
     batch: np.ndarray,
     workspace=None,
+    counts: bool = False,
 ) -> np.ndarray:
     """Evaluate packed (direction-folded) predicate rows against a batch.
 
-    The shared matching kernel: ``matrix`` is a ``(rows, n)`` block of
+    The one matching kernel: ``matrix`` is a ``(rows, n)`` block of
     direction-folded query-vector rows with per-row ``strict`` flags and
     sign-folded tolerance bases ``tol_signed``; ``starts``/``stops`` are
     per-span row offsets *relative to this block*; ``batch`` is the
     ``(B, n)`` stack of publication ciphertext vectors.  Returns the
-    ``(B, len(starts))`` boolean span-conjunction matrix.
+    ``(B, len(starts))`` boolean span-conjunction matrix — or, with
+    ``counts=True``, the int32 per-span counts of unsatisfied rows, so a
+    caller whose spans cross several blocks sums each span's counts and
+    tests the sum for zero.
 
     This function is *pure* — a deterministic function of its array
     arguments with no hidden state — which is what lets
     :mod:`repro.parallel` ship the packed rows to worker processes and
-    still produce bit-identical decisions: the in-process
-    :meth:`AspeLibrary.match_batch` path and the out-of-process path both
-    run exactly this sequence of vectorized operations.  ``workspace``
-    optionally supplies reusable scratch buffers (``(name, shape, dtype)
-    -> ndarray``); the default allocates fresh ones, which is bit-wise
-    equivalent.
+    still produce bit-identical decisions: :meth:`AspeLibrary.match_batch`
+    and the out-of-process path both run exactly this sequence of
+    vectorized operations.  ``workspace`` optionally supplies reusable
+    scratch buffers (``(name, shape, dtype) -> ndarray``); the default
+    allocates fresh ones, which is bit-wise equivalent.
     """
     if workspace is None:
         workspace = _fresh_workspace
@@ -355,23 +412,27 @@ def match_packed(
     np.equal(products, thresholds, out=boundary)
     np.logical_and(boundary, ~strict[None, :], out=boundary)
     np.logical_or(satisfied, boundary, out=satisfied)
-    # Span conjunction via exclusive prefix sums of unsatisfied rows
-    # (see AspeLibrary._reduce_spans), with the prefix buffer reused.
+    # Span conjunction via exclusive prefix sums of unsatisfied rows: the
+    # [start, stop) difference counts a span's unsatisfied rows and skips
+    # tombstoned gaps between spans without touching them.
     np.logical_not(satisfied, out=boundary)
     prefix = workspace("prefix", (count, rows + 1), np.int32)
     prefix[:, 0] = 0
     np.cumsum(boundary, axis=1, out=prefix[:, 1:])
-    return (prefix[:, stops] - prefix[:, starts]) == 0
+    # ``take`` along the row axis gathers ~3x faster than ``[:, idx]``.
+    unsatisfied = np.take(prefix, stops, axis=1) - np.take(prefix, starts, axis=1)
+    return unsatisfied if counts else unsatisfied == 0
 
 
 @dataclass(frozen=True)
 class PackedMatrixView:
-    """Zero-copy view of a library's packed matching state.
+    """View of a library's packed matching state as one flat matrix.
 
     Produced by :meth:`AspeLibrary.packed_view` for the parallel matching
-    executors.  All arrays are *views* into the library's live buffers —
-    valid only until the next ``store``/``remove``/``import_state`` — and
-    must not be mutated.
+    executors.  The arrays are zero-copy views into the library's live
+    chunk when its store holds one chunk (a contiguous copy when it holds
+    several) — valid only until the next ``store``/``remove``/
+    ``import_state`` — and must not be mutated.
 
     ``token`` is unique per library *instance* in this process (a fresh
     value is drawn on construction and on unpickling), because ``epoch``
@@ -403,10 +464,8 @@ class PackedMatrixView:
         return int(self.starts.size)
 
 
-#: Initial row capacity of the packed predicate matrix.
-_MIN_CAPACITY = 64
 #: Compact once dead rows outnumber live ones (and exceed this floor), so
-#: the matrix never carries more than 2× the live predicate rows.
+#: the store never carries more than 2× the live predicate rows.
 _COMPACT_MIN_DEAD = 64
 
 
@@ -419,68 +478,37 @@ class AspeLibrary(FilteringLibrary):
     paper's experiments workload-independent.
 
     The predicate ciphertexts of all stored subscriptions live in one
-    packed row matrix that is maintained *incrementally*: ``store`` appends
-    rows into an amortized-doubling buffer, ``remove`` tombstones the
-    subscription's row span, and compaction runs only when dead rows
-    outnumber live ones — store/remove churn costs amortized O(rows
-    touched), never a full repack.  Per-row tolerance norms and comparison
-    directions are precomputed as ndarrays so a match is one matrix-vector
-    product plus vectorized mask reductions (``np.logical_and.reduceat``
-    over per-subscription row spans); :meth:`match_batch` evaluates a whole
-    batch of publications as a single matrix-matrix product.
+    packed row matrix held by a :class:`ChunkedMatrixStore` and maintained
+    *incrementally*: ``store`` writes rows straight into the store's tail
+    chunk, ``remove`` tombstones the subscription's row span, and
+    compaction runs only when dead rows outnumber live ones — store/remove
+    churn costs amortized O(rows touched), never a full repack.  Rows are
+    direction-folded with their tolerances precomputed, and
+    :func:`match_packed` — the one kernel, also run by the parallel
+    matching workers — evaluates a whole batch of publications against
+    each chunk as a single matrix-matrix product.
     """
 
     def __init__(self, store_config: Optional[StoreConfig] = None) -> None:
         self._subs: Dict[int, EncryptedSubscription] = {}
-        #: How the packed rows are stored.  ``dense`` (the default) keeps
-        #: the in-RAM amortized-doubling buffers below; ``chunked``/``mmap``
-        #: delegate row storage to a :class:`ChunkedMatrixStore` so the
-        #: matrix can exceed RAM (see repro.filtering.store).
         self._store_config = (
             store_config if store_config is not None else StoreConfig.from_env()
         )
-        self._chunks: Optional[ChunkedMatrixStore] = (
-            None
-            if self._store_config.backend == "dense"
-            else ChunkedMatrixStore(self._store_config)
-        )
-        #: Epoch-keyed contiguous materialization of the chunked rows for
-        #: :meth:`packed_view` (the parallel executors need one flat
-        #: matrix).  ``(epoch, matrix, strict, tol_signed)`` or ``None``.
+        #: The packed rows (see repro.filtering.store): in RAM, or spilled
+        #: to memory-mapped chunk files when the config sets a budget.
+        self._store = ChunkedMatrixStore(self._store_config)
+        #: Epoch-keyed contiguous copy of a multi-chunk store for
+        #: :meth:`packed_view`: ``(epoch, matrix, strict, tol_signed)``.
         self._materialized = None
         self._telemetry = None
-        #: Packed state: row buffer + per-row decision metadata.  Allocated
-        #: lazily on the first store (the ciphertext width is unknown
-        #: until then) and grown by doubling.  Rows are stored
-        #: *direction-folded*: a ``lt``/``le`` query vector is negated on
-        #: the way in (exact in IEEE arithmetic), so every decision is
-        #: ``product {>, ≥−} tolerance`` with no per-row sign multiply.
-        self._matrix: Optional[np.ndarray] = None
-        self._strict: Optional[np.ndarray] = None
-        #: Per-row ``_REL_TOL · (‖q̂‖ + 1)``; the decision tolerance is this
-        #: times the publication's scale factor.
-        self._tol_base: Optional[np.ndarray] = None
-        #: Sign-folded tolerance base: ``+tol_base`` for strict rows,
-        #: ``−tol_base`` for non-strict ones.  Folding the decision side
-        #: into the sign is exact (IEEE negation commutes with scaling:
-        #: ``s·(−a) == −(s·a)`` bit-for-bit) and lets :meth:`match_batch`
-        #: evaluate all rows with one comparison pass instead of a
-        #: strict/non-strict ``np.where`` over two full comparisons.
-        self._tol_signed: Optional[np.ndarray] = None
-        self._alive: Optional[np.ndarray] = None
-        self._rows = 0  # buffer rows in use (live + tombstoned)
-        self._dead_rows = 0
         #: sub_id → [start, stop) row span in the packed matrix.
         self._spans: Dict[int, Tuple[int, int]] = {}
-        #: Lazily built span index for span reductions (see _span_index).
-        self._index: Optional[
-            Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]
-        ] = None
-        #: Reusable scratch buffers for :meth:`match_batch` (name → flat
+        #: Lazily built span index and per-chunk plan (see _span_index).
+        self._index = None
+        #: Reusable scratch buffers for :func:`match_packed` (name → flat
         #: array).  The batch temporaries are large enough (B × rows) to
         #: defeat numpy's small-allocation cache; reusing them removes the
-        #: per-call mmap churn that made batching slower than the
-        #: single-publication path.
+        #: per-call mmap churn.
         self._ws: Dict[str, np.ndarray] = {}
         #: Process-unique instance identity.  Epoch/generation counters
         #: are per-instance, so sync caches keyed on them must also key on
@@ -494,10 +522,21 @@ class AspeLibrary(FilteringLibrary):
         #: :class:`PackedMatrixView`.
         self._generation = 0
         # Instrumentation: churn benchmarks assert store/remove stays
-        # incremental (appends, occasional compactions, no full repacks).
+        # incremental (appends, occasional compactions, no full repacks),
+        # and that scratch buffers are not reallocated on every match.
         self.rows_appended = 0
         self.compaction_count = 0
         self.full_pack_count = 0
+        self.workspace_allocations = 0
+
+    @property
+    def _rows(self) -> int:
+        """Packed rows in use (live + tombstoned)."""
+        return self._store.rows
+
+    @property
+    def _dead_rows(self) -> int:
+        return self._store.dead_rows
 
     # -- storage --------------------------------------------------------------
 
@@ -509,7 +548,7 @@ class AspeLibrary(FilteringLibrary):
         if sub_id in self._subs:
             self._tombstone(sub_id)
         self._subs[sub_id] = filter_data
-        self._append_rows(sub_id, filter_data)
+        self._append_rows(sub_id, filter_data.predicates)
         self._index = None
         self._epoch += 1
         self._maybe_compact()
@@ -524,28 +563,7 @@ class AspeLibrary(FilteringLibrary):
     # -- matching -------------------------------------------------------------
 
     def match(self, publication_data: EncryptedPublication) -> List[int]:
-        if not isinstance(publication_data, EncryptedPublication):
-            raise TypeError(
-                f"expected EncryptedPublication, got {type(publication_data).__name__}"
-            )
-        if not self._subs:
-            return []
-        ids, positions, starts, stops = self._span_index()
-        if starts.size == 0:
-            # Only empty (vacuously true) subscriptions are stored.
-            return list(ids)
-        u = publication_data.vector
-        if self._chunks is not None:
-            ok = self._match_single_streaming(u, starts, stops)
-        else:
-            rows = self._rows
-            products = self._matrix[:rows] @ u
-            scale = float(np.linalg.norm(u)) + 1.0
-            satisfied = self._decide_rows(products, scale * self._tol_base[:rows])
-            ok = self._reduce_spans(satisfied, starts, stops)
-        result = np.ones(len(ids), dtype=bool)
-        result[positions] = ok
-        return [ids[i] for i in np.nonzero(result)[0]]
+        return self.match_batch([publication_data])[0]
 
     def match_batch(
         self, publications: Sequence[EncryptedPublication]
@@ -559,29 +577,39 @@ class AspeLibrary(FilteringLibrary):
             return []
         if not self._subs:
             return [[] for _ in publications]
-        ids, positions, starts, stops = self._span_index()
+        ids, positions, starts, _, plan = self._span_index()
         if starts.size == 0:
+            # Only empty (vacuously true) subscriptions are stored.
             return [list(ids) for _ in publications]
         batch = np.stack([p.vector for p in publications])  # (B, n)
-        if self._chunks is not None:
-            ok = self._match_batch_streaming(batch, starts, stops)
-        else:
-            rows = self._rows
-            # The shared kernel (also run by parallel matching workers)
-            # with the reusable workspace — per-call allocation is what
-            # made batching lose to the cached single-publication path.
-            ok = match_packed(
-                self._matrix[:rows],
-                self._strict[:rows],
-                self._tol_signed[:rows],
-                starts,
-                stops,
-                batch,
-                workspace=self._workspace,
-            )
+        ok = self._match_rows(batch, starts.size, plan)
         result = np.ones((batch.shape[0], len(ids)), dtype=bool)
         result[:, positions] = ok
         return [[ids[i] for i in np.nonzero(row)[0]] for row in result]
+
+    def _match_rows(self, batch: np.ndarray, spans: int, plan) -> np.ndarray:
+        """The ``(B, spans)`` span-conjunction matrix over every chunk."""
+        store = self._store
+        if len(plan) == 1 and plan[0][2] - plan[0][1] == spans:
+            index, _, _, lo, hi = plan[0]
+            block = store.block(index)
+            # A one-publication match over one chunk allocates row-sized
+            # temporaries once per call; keeping them would pin scratch
+            # in every idle library.
+            return match_packed(
+                block.matrix, block.strict, block.tol_signed, lo, hi, batch,
+                workspace=self._workspace if batch.shape[0] > 1 else None,
+            )
+        # Spans may straddle chunk boundaries: sum each span's unsatisfied
+        # rows over its chunks.  Integer sums keep the result exact.
+        unsatisfied = np.zeros((batch.shape[0], spans), dtype=np.int32)
+        for index, j0, j1, lo, hi in plan:
+            block = store.block(index)
+            unsatisfied[:, j0:j1] += match_packed(
+                block.matrix, block.strict, block.tol_signed, lo, hi, batch,
+                workspace=self._workspace, counts=True,
+            )
+        return unsatisfied == 0
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -596,17 +624,12 @@ class AspeLibrary(FilteringLibrary):
 
     def import_state(self, state: Dict[int, EncryptedSubscription]) -> None:
         self._subs = {}
-        self._matrix = None
-        self._strict = self._tol_base = self._tol_signed = self._alive = None
-        if self._chunks is not None:
-            self._chunks.clear()
-        self._rows = 0
-        self._dead_rows = 0
+        self._store.clear()
         self._spans = {}
         self._index = None
         for sub_id, subscription in state.items():
             self._subs[sub_id] = subscription
-            self._append_rows(sub_id, subscription)
+            self._append_rows(sub_id, subscription.predicates)
         self._epoch += 1
         self._generation += 1
         self.full_pack_count += 1
@@ -636,48 +659,17 @@ class AspeLibrary(FilteringLibrary):
             for sub_id, subscription in items:
                 self.store(sub_id, subscription)
             return len(items)
-        total = sum(len(s.predicates) for _, s in items)
-        if total == 0:
-            for sub_id, subscription in items:
-                self._subs[sub_id] = subscription
-                self._spans[sub_id] = (self._rows, self._rows)
-            self._index = None
-            self._epoch += 1
-            return len(items)
-        width = next(
-            s.predicates[0].vector.shape[0] for _, s in items if s.predicates
-        )
-        block = np.empty((total, width))
-        strict = np.empty(total, dtype=bool)
-        bounds = []
-        row = 0
-        for sub_id, subscription in items:
-            start = row
-            for predicate in subscription.predicates:
-                if _OP_SIGN[predicate.op_code] < 0.0:
-                    np.negative(predicate.vector, out=block[row])
-                else:
-                    block[row] = predicate.vector
-                strict[row] = _OP_STRICT[predicate.op_code]
-                row += 1
-            bounds.append((start, row))
-        base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
-        tol_signed = np.where(strict, base, -base)
-        if self._chunks is not None:
-            offset, _ = self._chunks.append(block, strict, base, tol_signed)
-        else:
-            self._ensure_capacity(total, width)
-            offset = self._rows
-            self._matrix[offset : offset + total] = block
-            self._strict[offset : offset + total] = strict
-            self._tol_base[offset : offset + total] = base
-            self._tol_signed[offset : offset + total] = tol_signed
-            self._alive[offset : offset + total] = True
-        self._rows = offset + total
-        for (sub_id, subscription), (start, stop) in zip(items, bounds):
+        groups = [subscription.predicates for _, subscription in items]
+        total = sum(len(predicates) for predicates in groups)
+        row = self._store.rows
+        if total:
+            width = next(p[0].vector.shape[0] for p in groups if p)
+            row, _ = self._store.append(*_pack(groups, total, width))
+            self.rows_appended += total
+        for (sub_id, subscription), predicates in zip(items, groups):
             self._subs[sub_id] = subscription
-            self._spans[sub_id] = (offset + start, offset + stop)
-        self.rows_appended += total
+            self._spans[sub_id] = (row, row + len(predicates))
+            row += len(predicates)
         self._index = None
         self._epoch += 1
         self._maybe_compact()
@@ -686,36 +678,21 @@ class AspeLibrary(FilteringLibrary):
     def absorb(self, other: "AspeLibrary") -> int:
         """Adopt every subscription (and packed row) of ``other``.
 
-        The merge half of shard split/merge: under a chunked store the
-        rows transfer as whole chunk objects — zero rows rewritten — and
-        under the dense store as one bulk buffer copy.  ``other`` is left
-        empty.  Returns the number of rows adopted.  Appending to self
-        preserves the append-only delta invariant, so the generation does
-        not advance.
+        The merge half of shard split/merge: the rows transfer as whole
+        chunk objects — zero rows rewritten.  ``other`` is left empty.
+        Returns the number of rows adopted.  Appending to self preserves
+        the append-only delta invariant, so the generation does not
+        advance.
         """
         if other is self:
             raise ValueError("cannot absorb a library into itself")
-        if (self._chunks is None) != (other._chunks is None):
-            raise ValueError("cannot absorb across store backends")
         overlap = self._subs.keys() & other._subs.keys()
         if overlap:
             raise ValueError(
                 f"cannot absorb: {len(overlap)} overlapping subscription ids"
             )
-        moved = other._rows
-        base = self._rows
-        if self._chunks is not None:
-            self._chunks.adopt(other._chunks)
-        elif other._matrix is not None and moved:
-            self._ensure_capacity(moved, other._matrix.shape[1])
-            stop = base + moved
-            self._matrix[base:stop] = other._matrix[:moved]
-            self._strict[base:stop] = other._strict[:moved]
-            self._tol_base[base:stop] = other._tol_base[:moved]
-            self._tol_signed[base:stop] = other._tol_signed[:moved]
-            self._alive[base:stop] = other._alive[:moved]
-        self._rows = base + moved
-        self._dead_rows += other._dead_rows
+        moved = other._store.rows
+        base = self._store.adopt(other._store)
         for sub_id, subscription in other._subs.items():
             start, stop = other._spans[sub_id]
             self._subs[sub_id] = subscription
@@ -730,19 +707,18 @@ class AspeLibrary(FilteringLibrary):
 
         The split half of shard split/merge: every chunk fully past the
         boundary is *moved* into the new library; only the rows of the
-        chunk the boundary cuts through are copied (the dense store
-        copies the whole suffix — it has no chunks to adopt).  Every
-        moving subscription's non-empty span must lie at or past the
-        boundary and every staying one's before it.  Returns
-        ``(new_library, copied_rows)``.
+        chunk the boundary cuts through are copied.  Every moving
+        subscription's non-empty span must lie at or past the boundary
+        and every staying one's before it.  Returns ``(new_library,
+        copied_rows)``.
         """
         moving = set(sub_ids)
         for sub_id in moving:
             if sub_id not in self._subs:
                 raise KeyError(sub_id)
-        if not 0 <= boundary <= self._rows:
+        if not 0 <= boundary <= self._store.rows:
             raise ValueError(
-                f"split boundary {boundary} outside [0, {self._rows}]"
+                f"split boundary {boundary} outside [0, {self._store.rows}]"
             )
         for sub_id, (start, stop) in self._spans.items():
             if stop <= start:
@@ -760,33 +736,7 @@ class AspeLibrary(FilteringLibrary):
                 )
         new_lib = AspeLibrary(store_config=self._store_config)
         new_lib._telemetry = self._telemetry
-        copied = 0
-        if self._chunks is not None:
-            new_lib._chunks, copied = self._chunks.split_at(boundary)
-            new_lib._rows = new_lib._chunks.rows
-            new_lib._dead_rows = new_lib._chunks.dead_rows
-            self._rows = self._chunks.rows
-            self._dead_rows = self._chunks.dead_rows
-        else:
-            rows = self._rows
-            suffix = rows - boundary
-            if suffix > 0 and self._matrix is not None:
-                new_lib._ensure_capacity(suffix, self._matrix.shape[1])
-                new_lib._matrix[:suffix] = self._matrix[boundary:rows]
-                new_lib._strict[:suffix] = self._strict[boundary:rows]
-                new_lib._tol_base[:suffix] = self._tol_base[boundary:rows]
-                new_lib._tol_signed[:suffix] = self._tol_signed[boundary:rows]
-                new_lib._alive[:suffix] = self._alive[boundary:rows]
-                new_lib._rows = suffix
-                new_lib._dead_rows = int(
-                    suffix - new_lib._alive[:suffix].sum()
-                )
-                copied = suffix
-                self._alive[boundary:rows] = False
-                self._rows = boundary
-                self._dead_rows = int(
-                    boundary - self._alive[:boundary].sum()
-                )
+        new_lib._store, copied = self._store.split_at(boundary)
         for sub_id in [s for s in self._subs if s in moving]:
             subscription = self._subs.pop(sub_id)
             start, stop = self._spans.pop(sub_id)
@@ -800,7 +750,6 @@ class AspeLibrary(FilteringLibrary):
         # Rows past the boundary vanished from this library: previously
         # exported row cursors are invalid, so the generation advances.
         self._generation += 1
-        new_lib._index = None
         new_lib._epoch += 1
         return new_lib, copied
 
@@ -808,12 +757,7 @@ class AspeLibrary(FilteringLibrary):
         """Empty this library in place (its state moved elsewhere)."""
         self._subs = {}
         self._spans = {}
-        self._matrix = None
-        self._strict = self._tol_base = self._tol_signed = self._alive = None
-        if self._chunks is not None:
-            self._chunks.clear()
-        self._rows = 0
-        self._dead_rows = 0
+        self._store.clear()
         self._index = None
         self._ws = {}
         self._materialized = None
@@ -826,48 +770,33 @@ class AspeLibrary(FilteringLibrary):
     def store_config(self) -> StoreConfig:
         return self._store_config
 
+    @property
+    def row_bytes(self) -> int:
+        """Bytes one packed row occupies (0 before the first store)."""
+        return self._store.row_bytes
+
     def configure_store(self, config: StoreConfig) -> None:
-        """Select the backing store (only while the library is empty)."""
+        """Reshape the backing store (only while the library is empty)."""
         if config == self._store_config:
             return
-        if self._subs or self._rows:
+        if self._subs or self._store.rows:
             raise ValueError(
                 "cannot reconfigure the store of a non-empty library"
             )
         self._store_config = config
-        self._chunks = (
-            None
-            if config.backend == "dense"
-            else ChunkedMatrixStore(config)
-        )
+        self._store = ChunkedMatrixStore(config)
         self._materialized = None
-        if self._telemetry is not None and self._chunks is not None:
-            self._chunks.bind_telemetry(self._telemetry)
+        if self._telemetry is not None:
+            self._store.bind_telemetry(self._telemetry)
 
     def bind_telemetry(self, telemetry, label: str = "aspe") -> None:
         """Record store residency/fault/eviction activity into a bundle."""
         self._telemetry = telemetry
-        if self._chunks is not None:
-            self._chunks.bind_telemetry(telemetry, label)
+        self._store.bind_telemetry(telemetry, label)
 
     def store_stats(self) -> Dict[str, object]:
         """Backing-store residency statistics (see OBSERVABILITY.md)."""
-        if self._chunks is not None:
-            return self._chunks.stats()
-        matrix = self._matrix
-        row_bytes = 0 if matrix is None else (matrix.shape[1] + 2) * 8
-        return {
-            "backend": "dense",
-            "chunk_rows": 0,
-            "chunks": 0,
-            "rows": self._rows,
-            "dead_rows": self._dead_rows,
-            "resident_chunks": 0,
-            "resident_bytes": self._rows * row_bytes,
-            "resident_peak_bytes": self._rows * row_bytes,
-            "faults": 0,
-            "evictions": 0,
-        }
+        return self._store.stats()
 
     def subscription_ids(self) -> List[int]:
         """Stored subscription ids in insertion order."""
@@ -877,54 +806,39 @@ class AspeLibrary(FilteringLibrary):
         return self._subs[sub_id]
 
     def packed_view(self) -> PackedMatrixView:
-        """Zero-copy :class:`PackedMatrixView` of the live packed state.
+        """:class:`PackedMatrixView` of the live packed state.
 
-        Valid until the next mutation; see the view's docstring for the
-        epoch/generation contract the parallel executors rely on.
+        Zero-copy when the store holds one chunk; a multi-chunk store is
+        copied once per epoch.  Valid until the next mutation; see the
+        view's docstring for the epoch/generation contract the parallel
+        executors rely on.
         """
-        ids, positions, starts, stops = self._span_index()
-        rows = self._rows
-        if self._chunks is not None:
-            # The executors need one flat matrix; materialize contiguous
-            # copies once per epoch.  Rows below any previously observed
-            # cursor re-copy to identical bits within a generation (the
-            # chunk data is unchanged), so append-only deltas stay sound.
-            matrix = strict = tol_signed = None
-            width = 0
-            if self._chunks.width is not None:
-                cached = self._materialized
-                if cached is None or cached[0] != self._epoch:
-                    matrix, strict, tol_signed = self._chunks.materialize()
-                    self._materialized = (self._epoch, matrix, strict, tol_signed)
-                else:
-                    _, matrix, strict, tol_signed = cached
-                width = int(self._chunks.width)
-            return PackedMatrixView(
-                token=self._token,
-                epoch=self._epoch,
-                generation=self._generation,
-                rows=rows,
-                width=width,
-                matrix=matrix,
-                strict=strict,
-                tol_signed=tol_signed,
-                ids=ids,
-                positions=positions,
-                starts=starts,
-                stops=stops,
-            )
-        matrix = None if self._matrix is None else self._matrix[:rows]
+        ids, positions, starts, stops, _ = self._span_index()
+        store = self._store
+        matrix = strict = tol_signed = None
+        if store.width is not None:
+            cached = self._materialized
+            if cached is not None and cached[0] == self._epoch:
+                _, matrix, strict, tol_signed = cached
+            else:
+                matrix, strict, tol_signed = store.materialize()
+                # Rows below any previously observed cursor re-copy to
+                # identical bits within a generation, so append-only
+                # deltas stay sound across these copies.
+                self._materialized = (
+                    (self._epoch, matrix, strict, tol_signed)
+                    if store.chunk_count > 1
+                    else None
+                )
         return PackedMatrixView(
             token=self._token,
             epoch=self._epoch,
             generation=self._generation,
-            rows=rows,
-            width=0 if self._matrix is None else int(self._matrix.shape[1]),
+            rows=store.rows,
+            width=store.width or 0,
             matrix=matrix,
-            strict=None if self._strict is None else self._strict[:rows],
-            tol_signed=(
-                None if self._tol_signed is None else self._tol_signed[:rows]
-            ),
+            strict=strict,
+            tol_signed=tol_signed,
             ids=ids,
             positions=positions,
             starts=starts,
@@ -934,290 +848,104 @@ class AspeLibrary(FilteringLibrary):
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self):
-        """Drop scratch state and trim buffers to the rows in use.
+        """Serialize the packed rows as one trimmed flat block.
 
         Snapshots shipped to matching workers and ``export_state`` copies
         made during migration must not serialize dead weight: the
-        workspace buffers (B × rows scratch), the lazily rebuilt span
-        index, the derived tolerance caches (recomputed bit-identically
-        from the stored rows) and the unused tail of the
-        amortized-doubling buffers are all omitted.
+        workspace buffers (B × rows scratch), the span index, the
+        tolerance columns (recomputed bit-identically from the rows), the
+        unused tail-chunk capacity and the chunk layout and residency
+        (process-local, rebuilt on restore) are all omitted.  ``_packed``
+        is ``(matrix, strict, alive)`` over the rows in use, or ``None``.
         """
         state = self.__dict__.copy()
         state["_ws"] = {}
         state["_index"] = None
-        state["_tol_base"] = None
-        state["_tol_signed"] = None
         state["_materialized"] = None
         state["_telemetry"] = None
-        rows = self._rows
-        if self._chunks is not None:
-            # Chunked stores serialize as the same trimmed flat-buffer
-            # format as the dense path (chunk layout and residency are
-            # process-local state, rebuilt on restore).
-            del state["_chunks"]
-            if rows:
-                matrix, strict, alive = self._chunks.export_rows()
-                state["_matrix"] = matrix
-                state["_strict"] = strict
-                state["_alive"] = alive
-        elif self._matrix is not None:
-            state["_matrix"] = np.ascontiguousarray(self._matrix[:rows])
-            state["_strict"] = self._strict[:rows].copy()
-            state["_alive"] = self._alive[:rows].copy()
+        del state["_store"]
+        state["_packed"] = self._store.export_rows() if self._store.rows else None
         return state
 
     def __setstate__(self, state):
+        packed = state.pop("_packed")
         self.__dict__.update(state)
         # A restored copy is a new instance whose counters continue from
         # the pickled values — it must not alias the source's sync
         # identity in any executor channel.
         self._token = next(_INSTANCE_TOKENS)
-        if "_chunks" not in self.__dict__:
-            # Chunked-store pickle: rebuild the chunk layout from the flat
-            # buffers (the derived tolerance columns recompute
-            # bit-identically from the rows).
-            self._chunks = ChunkedMatrixStore(self._store_config)
-            matrix = self._matrix
-            if matrix is not None and matrix.shape[0]:
-                strict = self._strict
-                alive = self._alive
-                base = _REL_TOL * (np.linalg.norm(matrix, axis=1) + 1.0)
-                tol_signed = np.where(strict, base, -base)
-                self._chunks.append(matrix, strict, base, tol_signed)
-                dead = np.flatnonzero(~alive)
-                if dead.size:
-                    breaks = np.flatnonzero(np.diff(dead) > 1)
-                    run_heads = np.concatenate(([0], breaks + 1))
-                    run_tails = np.concatenate((breaks, [dead.size - 1]))
-                    for head, tail in zip(run_heads, run_tails):
-                        self._chunks.mark_dead(
-                            int(dead[head]), int(dead[tail]) + 1
-                        )
-            self._matrix = None
-            self._strict = self._alive = None
+        self._store = ChunkedMatrixStore(self._store_config)
+        if packed is None:
             return
-        if self._matrix is not None:
-            # Recompute the tolerance caches from the stored rows.  The
-            # per-row norm reduction is element-independent, so the values
-            # are bit-identical to the ones computed at append time.
-            base = _REL_TOL * (np.linalg.norm(self._matrix, axis=1) + 1.0)
-            self._tol_base = base
-            self._tol_signed = np.where(self._strict, base, -base)
+        matrix, strict, alive = packed
+        tol_base = np.empty(matrix.shape[0])
+        tol_signed = np.empty(matrix.shape[0])
+        _tolerances(matrix, strict, tol_base, tol_signed)
+        self._store.append(matrix, strict, tol_base, tol_signed)
+        dead = np.flatnonzero(~alive)
+        if dead.size:
+            breaks = np.flatnonzero(np.diff(dead) > 1)
+            heads = np.concatenate(([0], breaks + 1))
+            tails = np.concatenate((breaks, [dead.size - 1]))
+            for head, tail in zip(heads, tails):
+                self._store.mark_dead(int(dead[head]), int(dead[tail]) + 1)
 
     # -- packed-state maintenance ---------------------------------------------
 
     def _workspace(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A reusable scratch array of ``shape``/``dtype`` (contents stale)."""
+        """A reusable scratch array of ``shape``/``dtype`` (contents stale).
+
+        Buffers grow with 25% headroom: a store between two matches adds
+        a few rows, and an exact-fit buffer would be reallocated on every
+        such match.  Growth is geometric, so a store+match loop
+        reallocates O(log rows) times.
+        """
         size = 1
         for extent in shape:
             size *= extent
         buffer = self._ws.get(name)
         if buffer is None or buffer.size < size or buffer.dtype != dtype:
-            buffer = np.empty(max(size, 1), dtype=dtype)
+            buffer = np.empty(max(size + size // 4, 1), dtype=dtype)
             self._ws[name] = buffer
+            self.workspace_allocations += 1
         return buffer[:size].reshape(shape)
 
-    def _decide_rows(self, products, tolerances):
-        """Vectorized :func:`_decide` over the (direction-folded) rows."""
-        rows = self._rows
-        return np.where(
-            self._strict[:rows], products > tolerances, products >= -tolerances
-        )
-
-    @staticmethod
-    def _reduce_spans(satisfied, starts, stops):
-        """Per-span conjunction of ``satisfied`` along its last axis.
-
-        Counts unsatisfied rows through an exclusive prefix sum, so the
-        [start, stop) gather skips tombstoned gaps between spans without
-        touching them — faster than ``np.logical_and.reduceat`` and
-        immune to dead-row garbage.
-        """
-        length = satisfied.shape[-1]
-        prefix = np.zeros(satisfied.shape[:-1] + (length + 1,), dtype=np.int32)
-        np.cumsum(~satisfied, axis=-1, out=prefix[..., 1:])
-        return (prefix[..., stops] - prefix[..., starts]) == 0
-
-    @staticmethod
-    def _block_span_range(starts, stops, row_lo, row_hi):
-        """Index range [j0, j1) of spans overlapping rows [row_lo, row_hi).
-
-        ``starts`` is sorted and spans are disjoint, so ``stops`` is
-        sorted too — both bounds come from one binary search each.
-        """
-        j0 = int(np.searchsorted(stops, row_lo, side="right"))
-        j1 = int(np.searchsorted(starts, row_hi, side="left"))
-        return j0, j1
-
-    def _match_single_streaming(self, u, starts, stops) -> np.ndarray:
-        """Chunk-streamed equivalent of the dense single-publication path.
-
-        Each span's unsatisfied-row count is accumulated block by block;
-        the per-row products and decisions are computed by exactly the
-        same vectorized operations as the dense path (a row's dot product
-        reduces only over the ciphertext width, so row-chunking cannot
-        change its result), and the span conjunction is integer counting
-        — the final decisions are bit-identical to the in-RAM backend.
-        """
-        scale = float(np.linalg.norm(u)) + 1.0
-        unsat = np.zeros(starts.size, dtype=np.int64)
-        for block in self._chunks.blocks():
-            j0, j1 = self._block_span_range(starts, stops, block.start, block.stop)
-            if j0 >= j1:
-                continue
-            products = np.ascontiguousarray(block.matrix) @ u
-            tolerances = scale * np.ascontiguousarray(block.tol_base)
-            satisfied = np.where(
-                block.strict, products > tolerances, products >= -tolerances
-            )
-            length = satisfied.size
-            prefix = np.zeros(length + 1, dtype=np.int64)
-            np.cumsum(~satisfied, out=prefix[1:])
-            lo = np.clip(starts[j0:j1] - block.start, 0, length)
-            hi = np.clip(stops[j0:j1] - block.start, 0, length)
-            unsat[j0:j1] += prefix[hi] - prefix[lo]
-        return unsat == 0
-
-    def _match_batch_streaming(self, batch, starts, stops) -> np.ndarray:
-        """Chunk-streamed :func:`match_packed`: one block at a time.
-
-        Runs the identical per-block operation sequence as the dense
-        kernel (matmul → sign-folded threshold compare → unsatisfied-row
-        prefix sums) and accumulates per-span unsatisfied counts across
-        blocks; integer accumulation makes the conjunction exact, so the
-        result is bit-identical to the one-shot dense kernel while only
-        ever touching one resident chunk of rows.
-        """
-        count = batch.shape[0]
-        scales = np.linalg.norm(batch, axis=1)
-        scales += 1.0
-        unsat = np.zeros((count, starts.size), dtype=np.int64)
-        width = batch.shape[1]
-        for block in self._chunks.blocks():
-            j0, j1 = self._block_span_range(starts, stops, block.start, block.stop)
-            if j0 >= j1:
-                continue
-            rows = block.stop - block.start
-            matrix = self._workspace("stream_matrix", (rows, width), np.float64)
-            matrix[:] = block.matrix
-            tol_signed = self._workspace("stream_tol", (rows,), np.float64)
-            tol_signed[:] = block.tol_signed
-            products = self._workspace("products", (count, rows), np.float64)
-            np.matmul(batch, matrix.T, out=products)
-            thresholds = self._workspace("thresholds", (count, rows), np.float64)
-            np.multiply(scales[:, None], tol_signed[None, :], out=thresholds)
-            satisfied = self._workspace("satisfied", (count, rows), np.bool_)
-            np.greater(products, thresholds, out=satisfied)
-            boundary = self._workspace("boundary", (count, rows), np.bool_)
-            np.equal(products, thresholds, out=boundary)
-            np.logical_and(boundary, ~block.strict[None, :], out=boundary)
-            np.logical_or(satisfied, boundary, out=satisfied)
-            np.logical_not(satisfied, out=boundary)
-            prefix = self._workspace("prefix", (count, rows + 1), np.int32)
-            prefix[:, 0] = 0
-            np.cumsum(boundary, axis=1, out=prefix[:, 1:])
-            lo = np.clip(starts[j0:j1] - block.start, 0, rows)
-            hi = np.clip(stops[j0:j1] - block.start, 0, rows)
-            unsat[:, j0:j1] += prefix[:, hi] - prefix[:, lo]
-        return unsat == 0
-
-    def _append_rows(self, sub_id: int, subscription: EncryptedSubscription) -> None:
-        predicates = subscription.predicates
+    def _append_rows(self, sub_id: int, predicates) -> None:
         count = len(predicates)
+        store = self._store
         if count == 0:
-            self._spans[sub_id] = (self._rows, self._rows)
+            self._spans[sub_id] = (store.rows, store.rows)
             return
         width = predicates[0].vector.shape[0]
-        if self._chunks is not None:
-            block = np.empty((count, width))
-            strict = np.empty(count, dtype=bool)
-            for offset, predicate in enumerate(predicates):
-                if _OP_SIGN[predicate.op_code] < 0.0:
-                    np.negative(predicate.vector, out=block[offset])
-                else:
-                    block[offset] = predicate.vector
-                strict[offset] = _OP_STRICT[predicate.op_code]
-            # Computed on the staging block, but per-row norms reduce
-            # element-independently — bit-identical to dense append.
-            base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
-            tol_signed = np.where(strict, base, -base)
-            start, stop = self._chunks.append(block, strict, base, tol_signed)
-            self._rows = stop
-            self._spans[sub_id] = (start, stop)
-            self.rows_appended += count
-            return
-        self._ensure_capacity(count, width)
-        start = self._rows
-        stop = start + count
-        block = self._matrix[start:stop]
-        for offset, predicate in enumerate(predicates):
-            # Folding the ±1 comparison direction into the row is exact:
-            # IEEE negation commutes with sums and products bit-for-bit.
-            if _OP_SIGN[predicate.op_code] < 0.0:
-                np.negative(predicate.vector, out=block[offset])
-            else:
-                block[offset] = predicate.vector
-            self._strict[start + offset] = _OP_STRICT[predicate.op_code]
-        base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
-        self._tol_base[start:stop] = base
-        self._tol_signed[start:stop] = np.where(self._strict[start:stop], base, -base)
-        self._alive[start:stop] = True
-        self._rows = stop
-        self._spans[sub_id] = (start, stop)
+        chunk = store.reserve(count, width)
+        if chunk is None:
+            # The rows straddle a chunk boundary: stage and append them.
+            span = store.append(*_pack([predicates], count, width))
+        else:
+            lo = chunk.used
+            hi = lo + count
+            matrix = chunk.matrix[lo:hi]
+            strict = chunk.strict[lo:hi]
+            _fold_rows(predicates, matrix, strict)
+            _tolerances(matrix, strict, chunk.tol_base[lo:hi], chunk.tol_signed[lo:hi])
+            span = store.commit(count)
+        self._spans[sub_id] = span
         self.rows_appended += count
-
-    def _ensure_capacity(self, extra: int, width: int) -> None:
-        if self._matrix is None:
-            capacity = max(_MIN_CAPACITY, 2 * extra)
-            self._matrix = np.empty((capacity, width))
-            self._strict = np.zeros(capacity, dtype=bool)
-            self._tol_base = np.empty(capacity)
-            self._tol_signed = np.empty(capacity)
-            self._alive = np.zeros(capacity, dtype=bool)
-            return
-        if width != self._matrix.shape[1]:
-            raise ValueError(
-                f"ciphertext width {width} does not match stored width "
-                f"{self._matrix.shape[1]}"
-            )
-        needed = self._rows + extra
-        capacity = self._matrix.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        grown = np.empty((capacity, width))
-        grown[: self._rows] = self._matrix[: self._rows]
-        self._matrix = grown
-        for name in ("_tol_base", "_tol_signed"):
-            buffer = np.empty(capacity)
-            buffer[: self._rows] = getattr(self, name)[: self._rows]
-            setattr(self, name, buffer)
-        for name in ("_strict", "_alive"):
-            buffer = np.zeros(capacity, dtype=bool)
-            buffer[: self._rows] = getattr(self, name)[: self._rows]
-            setattr(self, name, buffer)
 
     def _tombstone(self, sub_id: int) -> None:
         start, stop = self._spans.pop(sub_id)
-        if stop > start:
-            if self._chunks is not None:
-                self._chunks.mark_dead(start, stop)
-            else:
-                self._alive[start:stop] = False
-            self._dead_rows += stop - start
+        self._store.mark_dead(start, stop)
 
     def _maybe_compact(self) -> None:
         # Compact once dead/(dead+live) exceeds the configured ratio (and
         # a fixed floor).  The default ratio of 0.5 solves to
-        # ``dead > max(live, 64)`` — exactly the seed's hardcoded trigger.
+        # ``dead > max(live, 64)``.
+        dead = self._store.dead_rows
         ratio = self._store_config.compact_dead_ratio
-        if ratio >= 1.0:
+        if dead <= _COMPACT_MIN_DEAD or ratio >= 1.0:
             return
-        live = self._rows - self._dead_rows
-        threshold = max(live * ratio / (1.0 - ratio), _COMPACT_MIN_DEAD)
-        if self._dead_rows > threshold:
+        live = self._store.rows - dead
+        if dead > live * ratio / (1.0 - ratio):
             self._compact()
 
     def _compact(self) -> None:
@@ -1227,51 +955,29 @@ class AspeLibrary(FilteringLibrary):
         the span boundaries through the live-row prefix sums keeps every
         span contiguous.
         """
-        if self._chunks is not None:
-            offsets = self._chunks.compact()
-            self._spans = {
-                sub_id: (int(offsets[start]), int(offsets[stop]))
-                for sub_id, (start, stop) in self._spans.items()
-            }
-            self._rows = self._chunks.rows
-            self._dead_rows = 0
-            self._index = None
-            self._generation += 1
-            self.compaction_count += 1
-            return
-        rows = self._rows
-        alive = self._alive[:rows]
-        keep = np.nonzero(alive)[0]
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(alive, out=offsets[1:])
-        self._matrix[: keep.size] = self._matrix[keep]
-        self._strict[: keep.size] = self._strict[keep]
-        self._tol_base[: keep.size] = self._tol_base[keep]
-        self._tol_signed[: keep.size] = self._tol_signed[keep]
-        self._alive[: keep.size] = True
-        self._alive[keep.size : rows] = False
+        offsets = self._store.compact()
         self._spans = {
             sub_id: (int(offsets[start]), int(offsets[stop]))
             for sub_id, (start, stop) in self._spans.items()
         }
-        self._rows = int(keep.size)
-        self._dead_rows = 0
         self._index = None
         # Row content moved: previously exported deltas are invalid.
         self._generation += 1
         self.compaction_count += 1
 
     def _span_index(self):
-        """Cached reduction index: (ids, positions, starts, stops).
+        """Cached reduction index: (ids, positions, starts, stops, plan).
 
         ``ids`` lists stored subscription ids in dict (insertion) order;
         ``starts``/``stops`` hold the row offsets of all *non-empty* spans,
         sorted by start, ready for the prefix-sum span reduction;
         ``positions[j]`` is the index into ``ids`` of the span whose
         reduction lands in slot ``j``.  Empty spans are left out — their
-        subscriptions match vacuously.  Rebuilding is O(#subscriptions),
-        done lazily after a structural change; match itself is already
-        Ω(#subscriptions).
+        subscriptions match vacuously.  ``plan`` lists, per chunk holding
+        span rows, ``(chunk, j0, j1, lo, hi)``: spans ``[j0, j1)`` overlap
+        the chunk, and ``lo``/``hi`` are their bounds relative to it,
+        clipped to its rows.  Rebuilding is O(#subscriptions), done lazily
+        once per epoch; match itself is already Ω(#subscriptions).
         """
         if self._index is None:
             ids: List[int] = []
@@ -1289,5 +995,23 @@ class AspeLibrary(FilteringLibrary):
             stops = np.asarray(span_stops, dtype=np.int64)
             positions = np.asarray(span_positions, dtype=np.int64)
             order = np.argsort(starts, kind="stable")
-            self._index = (ids, positions[order], starts[order], stops[order])
+            starts, stops = starts[order], stops[order]
+            # Spans are disjoint and sorted by start, so stops are sorted
+            # too: each chunk's overlapping spans are one binary search
+            # per bound away.
+            offsets = self._store.offsets()
+            lows, highs = offsets[:-1], offsets[1:]
+            first = np.searchsorted(stops, lows, side="right")
+            last = np.searchsorted(starts, highs, side="left")
+            plan = []
+            for chunk in np.flatnonzero((first < last) & (highs > lows)):
+                j0, j1 = int(first[chunk]), int(last[chunk])
+                base = int(lows[chunk])
+                rows = int(highs[chunk]) - base
+                plan.append((
+                    int(chunk), j0, j1,
+                    _local_bounds(starts[j0:j1], base, rows),
+                    _local_bounds(stops[j0:j1], base, rows),
+                ))
+            self._index = (ids, positions[order], starts, stops, plan)
         return self._index

@@ -1,23 +1,28 @@
 """Chunked, optionally memory-mapped backing store for packed predicate rows.
 
-The packed predicate matrix (PR 1) is split into fixed-size *row chunks*.
-Each chunk keeps its float64 row data — the ``width`` ciphertext columns
-plus the two derived tolerance columns — in one ``(capacity, width + 2)``
-array, either a plain in-RAM array (``chunked`` backend) or a
-``numpy.memmap`` over a per-store spill file (``mmap`` backend).  The
-per-row ``strict`` and ``alive`` flags always stay in RAM (2 bytes/row,
-~3% of the row data), so tombstoning never faults a chunk in.
+The packed predicate matrix is split into *row chunks* of at most
+``chunk_rows`` rows.  Each chunk keeps three separate contiguous arrays —
+the ``(capacity, width)`` direction-folded query rows, the per-row
+tolerance base and the sign-folded tolerance — so the matching kernel
+reads a chunk's rows in place, with no per-call copy.  The per-row
+``strict`` and ``alive`` flags always stay in RAM (2 bytes/row), so
+tombstoning never faults a chunk in.
 
-Under the ``mmap`` backend an LRU-ordered resident set bounds how much
-chunk data is mapped at once: faulting a chunk in past the configured
-byte budget flushes and *drops the Python reference to* the
-least-recently-used mapping.  Dropping the reference is the whole
-eviction protocol — any caller still holding a row view keeps the old
-mapping alive through ordinary refcounting (no use-after-free, no torn
-reads), the OS writes the pages back lazily, and the next fault simply
-remaps the same file.  Matching streams chunk by chunk through
-:meth:`ChunkedMatrixStore.blocks`, so the working set stays within the
-budget regardless of total subscription count.
+A store with ``memory_budget_mb == 0`` keeps every chunk in RAM.  Its tail
+chunk starts small and doubles up to ``chunk_rows`` as rows arrive, so a
+small library never reserves a full chunk.
+
+A store with ``memory_budget_mb > 0`` *spills*: every chunk is one
+``numpy.memmap`` file holding the three regions back to back, and an
+LRU-ordered resident set bounds how much chunk data is mapped at once.
+Faulting a chunk in past the budget flushes and *drops the Python
+references to* the least-recently-used mapping.  Dropping the references
+is the whole eviction protocol — any caller still holding a row view keeps
+the old mapping alive through ordinary refcounting (no use-after-free, no
+torn reads), the OS writes the pages back lazily, and the next fault
+simply remaps the same file.  Matching walks the store chunk by chunk
+through :meth:`ChunkedMatrixStore.block`, so the working set stays within
+the budget regardless of total subscription count.
 
 Chunks are also the shard transfer format: :meth:`adopt` moves whole
 chunk objects (and renames their spill files — a rename keeps open
@@ -43,6 +48,9 @@ from .config import StoreConfig
 
 __all__ = ["ChunkedMatrixStore", "RowBlock"]
 
+#: Initial row capacity of an in-RAM tail chunk (it doubles from here).
+_MIN_TAIL_ROWS = 64
+
 
 class RowBlock(NamedTuple):
     """One contiguous run of packed rows, as views into a chunk."""
@@ -57,17 +65,26 @@ class RowBlock(NamedTuple):
 
 
 class _Chunk:
-    """One fixed-capacity run of rows (data possibly evicted to its file)."""
+    """One run of rows; its float data may be evicted to its spill file.
 
-    __slots__ = ("capacity", "used", "strict", "alive", "path", "data")
+    ``matrix``/``tol_base``/``tol_signed`` are ``None`` while evicted.
+    ``data`` is the flat ``numpy.memmap`` the three views share (``None``
+    for an in-RAM chunk).
+    """
 
-    def __init__(self, capacity: int, path: Optional[str], data) -> None:
+    __slots__ = (
+        "capacity", "used", "strict", "alive", "path",
+        "data", "matrix", "tol_base", "tol_signed",
+    )
+
+    def __init__(self, capacity: int, path: Optional[str]) -> None:
         self.capacity = capacity
         self.used = 0
         self.strict = np.zeros(capacity, dtype=bool)
         self.alive = np.zeros(capacity, dtype=bool)
         self.path = path
-        self.data = data
+        self.data = None
+        self.matrix = self.tol_base = self.tol_signed = None
 
 
 class ChunkedMatrixStore:
@@ -75,14 +92,13 @@ class ChunkedMatrixStore:
 
     Row addressing is positional and global: row ``i`` lives in the chunk
     whose cumulative ``used`` range covers ``i``.  Interior chunks may be
-    partially filled after a split or adoption; appends only ever extend
-    the last chunk.  The column layout of each chunk's data array is
-    ``[:width]`` = direction-folded query rows, ``[width]`` = tolerance
-    base, ``[width + 1]`` = sign-folded tolerance.
+    partially filled after a split, adoption or compaction; appends only
+    ever extend the last chunk.
     """
 
     def __init__(self, config: StoreConfig) -> None:
         self.config = config
+        self._spills = config.spills
         self.width: Optional[int] = None
         self._chunks: List[_Chunk] = []
         self._rows = 0
@@ -129,9 +145,14 @@ class ChunkedMatrixStore:
     def resident_chunks(self) -> int:
         return len(self._lru)
 
+    @property
+    def row_bytes(self) -> int:
+        """Bytes one row occupies: float data plus the strict/alive flags."""
+        return 0 if self.width is None else (self.width + 2) * 8 + 2
+
     def stats(self) -> dict:
         return {
-            "backend": self.config.backend,
+            "spills": self._spills,
             "chunk_rows": self.config.chunk_rows,
             "chunks": len(self._chunks),
             "rows": self._rows,
@@ -155,62 +176,99 @@ class ChunkedMatrixStore:
             )
         return self._dir
 
-    def _new_chunk(self, capacity: int) -> _Chunk:
-        shape = (capacity, self.width + 2)
-        if self.config.backend == "mmap":
-            path = os.path.join(
-                self._ensure_dir(), f"chunk-{self._chunk_seq:06d}.f64"
-            )
-            self._chunk_seq += 1
-            data = np.memmap(path, dtype=np.float64, mode="w+", shape=shape)
+    def _next_path(self) -> str:
+        path = os.path.join(self._ensure_dir(), f"chunk-{self._chunk_seq:06d}.f64")
+        self._chunk_seq += 1
+        return path
+
+    def _chunk_bytes(self, chunk: _Chunk) -> int:
+        return chunk.capacity * (self.width + 2) * 8
+
+    def _map(self, chunk: _Chunk, mode: str) -> None:
+        """Map ``chunk``'s spill file as its three row-data views."""
+        capacity, width = chunk.capacity, self.width
+        data = np.memmap(
+            chunk.path, dtype=np.float64, mode=mode,
+            shape=(capacity * (width + 2),),
+        )
+        split = capacity * width
+        chunk.data = data
+        chunk.matrix = data[:split].reshape(capacity, width)
+        chunk.tol_base = data[split : split + capacity]
+        chunk.tol_signed = data[split + capacity :]
+
+    def _new_chunk(self, rows: int) -> _Chunk:
+        """Open a new tail chunk sized for ``rows`` pending rows."""
+        limit = self.config.chunk_rows
+        if self._spills:
+            chunk = _Chunk(limit, self._next_path())
+            self._map(chunk, "w+")
         else:
-            path = None
-            data = np.zeros(shape, dtype=np.float64)
-        chunk = _Chunk(capacity, path, data)
+            chunk = _Chunk(min(limit, max(_MIN_TAIL_ROWS, rows)), None)
+            chunk.matrix = np.empty((chunk.capacity, self.width))
+            chunk.tol_base = np.empty(chunk.capacity)
+            chunk.tol_signed = np.empty(chunk.capacity)
         self._chunks.append(chunk)
         self._offsets = None
         self._track_resident(chunk)
+        self._evict(exclude=chunk)
         return chunk
+
+    def _grow(self, chunk: _Chunk, rows: int) -> None:
+        """Double an in-RAM tail chunk until it holds ``rows`` (capped)."""
+        capacity = chunk.capacity
+        while capacity < rows:
+            capacity *= 2
+        capacity = min(capacity, self.config.chunk_rows)
+        used = chunk.used
+        for name in ("matrix", "tol_base", "tol_signed", "strict", "alive"):
+            old = getattr(chunk, name)
+            # Row data past ``used`` is never read, so the float arrays
+            # skip zero-filling (a zeroed heap block would be resident in
+            # full); the flags must start False.
+            grown = (np.zeros if old.dtype == bool else np.empty)(
+                (capacity,) + old.shape[1:], dtype=old.dtype
+            )
+            grown[:used] = old[:used]
+            setattr(chunk, name, grown)
+        added = (capacity - chunk.capacity) * (self.width + 2) * 8
+        chunk.capacity = capacity
+        self._resident_bytes += added
+        self._note_peak()
 
     def _track_resident(self, chunk: _Chunk) -> None:
         self._lru[chunk] = None
-        self._lru.move_to_end(chunk)
-        self._resident_bytes += chunk.data.nbytes
+        self._resident_bytes += self._chunk_bytes(chunk)
+        self._note_peak()
+
+    def _note_peak(self) -> None:
         if self._resident_bytes > self.resident_peak_bytes:
             self.resident_peak_bytes = self._resident_bytes
         self._update_gauges()
 
-    def _data(self, chunk: _Chunk) -> np.ndarray:
-        """The chunk's row data, faulting it back in if evicted."""
-        data = chunk.data
-        if data is None:
-            data = np.memmap(
-                chunk.path,
-                dtype=np.float64,
-                mode="r+",
-                shape=(chunk.capacity, self.width + 2),
-            )
-            chunk.data = data
+    def _touch(self, chunk: _Chunk) -> None:
+        """Make ``chunk``'s row data resident (faulting it in if evicted)."""
+        if chunk.matrix is None:
+            self._map(chunk, "r+")
             self.fault_count += 1
             telemetry = self._telemetry
             if telemetry is not None and telemetry.store_chunk_faults is not None:
                 telemetry.store_chunk_faults.labels(store=self._label).inc()
             self._track_resident(chunk)
-        elif chunk in self._lru:
+        elif self._spills:
             self._lru.move_to_end(chunk)
         self._evict(exclude=chunk)
-        return data
 
     def _evict(self, exclude: Optional[_Chunk]) -> None:
-        budget = self.config.memory_budget_bytes
-        if budget <= 0 or self.config.backend != "mmap":
+        if not self._spills:
             return
+        budget = self.config.memory_budget_bytes
         evicted = 0
         while self._resident_bytes > budget:
             victim = None
             for candidate in self._lru:
                 # Never evict the chunk being touched, and never a chunk
-                # without a backing file (adopted from a RAM store).
+                # without a backing file (adopted from an in-RAM store).
                 if candidate is not exclude and candidate.path is not None:
                     victim = candidate
                     break
@@ -218,8 +276,8 @@ class ChunkedMatrixStore:
                 break
             del self._lru[victim]
             victim.data.flush()
-            self._resident_bytes -= victim.data.nbytes
-            victim.data = None
+            self._resident_bytes -= self._chunk_bytes(victim)
+            victim.data = victim.matrix = victim.tol_base = victim.tol_signed = None
             self.eviction_count += 1
             evicted += 1
         if evicted:
@@ -243,13 +301,12 @@ class ChunkedMatrixStore:
         """Drop a chunk from residency accounting (it is leaving the store)."""
         if chunk in self._lru:
             del self._lru[chunk]
-        if chunk.data is not None:
-            self._resident_bytes -= chunk.data.nbytes
+            self._resident_bytes -= self._chunk_bytes(chunk)
         self._update_gauges()
 
     def _drop_chunk(self, chunk: _Chunk) -> None:
         self._forget(chunk)
-        chunk.data = None
+        chunk.data = chunk.matrix = chunk.tol_base = chunk.tol_signed = None
         if chunk.path is not None:
             try:
                 os.unlink(chunk.path)
@@ -258,7 +315,9 @@ class ChunkedMatrixStore:
 
     # -- row addressing -------------------------------------------------------
 
-    def _chunk_offsets(self) -> np.ndarray:
+    def offsets(self) -> np.ndarray:
+        """Cumulative chunk row starts: chunk ``i`` holds rows
+        ``[offsets[i], offsets[i + 1])``."""
         if self._offsets is None:
             offsets = np.zeros(len(self._chunks) + 1, dtype=np.int64)
             for index, chunk in enumerate(self._chunks):
@@ -277,6 +336,57 @@ class ChunkedMatrixStore:
                 f"{self.width}"
             )
 
+    def _tail(self, rows: int) -> _Chunk:
+        """The resident tail chunk, grown or opened to take up to ``rows``."""
+        chunk = self._chunks[-1] if self._chunks else None
+        if chunk is not None:
+            need = chunk.used + rows
+            if (
+                need > chunk.capacity
+                and chunk.path is None
+                and chunk.capacity < self.config.chunk_rows
+            ):
+                self._grow(chunk, need)
+            if chunk.used < chunk.capacity:
+                self._touch(chunk)
+                return chunk
+        return self._new_chunk(rows)
+
+    def reserve(self, count: int, width: int) -> Optional[_Chunk]:
+        """The resident tail chunk with room for ``count`` more rows.
+
+        The per-subscription fast path: the caller writes the rows
+        ``[used, used + count)`` of the chunk's ``matrix``, ``strict``,
+        ``tol_base`` and ``tol_signed`` in place, then calls
+        :meth:`commit`.  Returns ``None`` when the rows would straddle a
+        chunk boundary; the caller then goes through :meth:`append`.
+        """
+        chunk = self._chunks[-1] if self._chunks else None
+        if (
+            chunk is None
+            or chunk.used + count > chunk.capacity
+            or width != self.width
+            or self._spills
+        ):
+            self._check_width(width)
+            chunk = self._tail(count)
+            if chunk.used + count > chunk.capacity:
+                return None
+        return chunk
+
+    def commit(self, count: int) -> Tuple[int, int]:
+        """Mark the ``count`` rows written after :meth:`reserve` alive."""
+        chunk = self._chunks[-1]
+        lo = chunk.used
+        chunk.alive[lo : lo + count] = True
+        chunk.used = lo + count
+        start = self._rows
+        # One int object serves as this span's stop, the row count and
+        # the next span's start: spans are held per subscription.
+        self._rows = stop = start + count
+        self._offsets = None
+        return (start, stop)
+
     def append(
         self,
         matrix: np.ndarray,
@@ -290,32 +400,28 @@ class ChunkedMatrixStore:
         if count == 0:
             return (start, start)
         self._check_width(matrix.shape[1])
-        width = self.width
         written = 0
         while written < count:
-            chunk = self._chunks[-1] if self._chunks else None
-            if chunk is None or chunk.used >= chunk.capacity:
-                chunk = self._new_chunk(self.config.chunk_rows)
+            chunk = self._tail(count - written)
             take = min(count - written, chunk.capacity - chunk.used)
-            data = self._data(chunk)
             lo = chunk.used
             hi = lo + take
-            data[lo:hi, :width] = matrix[written : written + take]
-            data[lo:hi, width] = tol_base[written : written + take]
-            data[lo:hi, width + 1] = tol_signed[written : written + take]
+            chunk.matrix[lo:hi] = matrix[written : written + take]
+            chunk.tol_base[lo:hi] = tol_base[written : written + take]
+            chunk.tol_signed[lo:hi] = tol_signed[written : written + take]
             chunk.strict[lo:hi] = strict[written : written + take]
             chunk.alive[lo:hi] = True
             chunk.used = hi
             written += take
-            self._offsets = None
         self._rows += count
+        self._offsets = None
         return (start, start + count)
 
     def mark_dead(self, start: int, stop: int) -> None:
         """Tombstone rows [start, stop) — touches only the in-RAM flags."""
         if stop <= start:
             return
-        offsets = self._chunk_offsets()
+        offsets = self.offsets()
         index = int(np.searchsorted(offsets, start, side="right")) - 1
         row = start
         while row < stop:
@@ -337,9 +443,8 @@ class ChunkedMatrixStore:
         """Drop tombstoned rows chunk by chunk, preserving live-row order.
 
         Returns the (old_rows + 1)-entry exclusive alive-prefix-sum: the
-        caller remaps span boundary ``b`` to ``offsets[b]`` — the exact
-        formula of the dense path, valid here because per-chunk
-        compaction keeps the global relative order of live rows.
+        caller remaps span boundary ``b`` to ``offsets[b]``, valid because
+        per-chunk compaction keeps the global relative order of live rows.
         """
         old_rows = self._rows
         offsets = np.zeros(old_rows + 1, dtype=np.int64)
@@ -358,10 +463,12 @@ class ChunkedMatrixStore:
                 continue
             if live < used:
                 keep = np.nonzero(alive)[0]
-                data = self._data(chunk)
+                self._touch(chunk)
                 # Fancy-index RHS gathers into a temporary first, so the
                 # in-place move is overlap-safe.
-                data[:live] = data[keep]
+                chunk.matrix[:live] = chunk.matrix[keep]
+                chunk.tol_base[:live] = chunk.tol_base[keep]
+                chunk.tol_signed[:live] = chunk.tol_signed[keep]
                 chunk.strict[:live] = chunk.strict[keep]
                 chunk.used = live
                 chunk.alive[:live] = True
@@ -383,56 +490,68 @@ class ChunkedMatrixStore:
 
     # -- reading --------------------------------------------------------------
 
-    def blocks(self) -> Iterator[RowBlock]:
-        """Stream the store's rows as per-chunk blocks (faulting lazily).
+    def block(self, index: int) -> RowBlock:
+        """Chunk ``index``'s rows as views (faulting it in if evicted).
 
-        Views stay valid even if their chunk is evicted while the caller
-        iterates on — the mapping lives until the view is dropped.
+        Views stay valid even if the chunk is evicted afterwards — the
+        mapping lives until the view is dropped.
         """
-        width = self.width
-        base = 0
-        for chunk in self._chunks:
-            used = chunk.used
-            if used == 0:
-                continue
-            data = self._data(chunk)
-            yield RowBlock(
-                start=base,
-                stop=base + used,
-                matrix=data[:used, :width],
-                strict=chunk.strict[:used],
-                tol_base=data[:used, width],
-                tol_signed=data[:used, width + 1],
-                alive=chunk.alive[:used],
-            )
-            base += used
+        chunk = self._chunks[index]
+        self._touch(chunk)
+        used = chunk.used
+        start = int(self.offsets()[index])
+        return RowBlock(
+            start=start,
+            stop=start + used,
+            matrix=chunk.matrix[:used],
+            strict=chunk.strict[:used],
+            tol_base=chunk.tol_base[:used],
+            tol_signed=chunk.tol_signed[:used],
+            alive=chunk.alive[:used],
+        )
+
+    def blocks(self) -> Iterator[RowBlock]:
+        """Stream the store's non-empty chunks as blocks (faulting lazily)."""
+        for index, chunk in enumerate(self._chunks):
+            if chunk.used:
+                yield self.block(index)
+
+    def _gather(self, *fields: str) -> Tuple[np.ndarray, ...]:
+        """Per-field arrays over all rows: zero-copy views when the store
+        is one chunk, contiguous copies (streamed chunk by chunk)
+        otherwise."""
+        if len(self._chunks) == 1:
+            block = self.block(0)
+            return tuple(getattr(block, name) for name in fields)
+        out = tuple(
+            np.empty((self._rows, self.width))
+            if name == "matrix"
+            else np.empty(self._rows, dtype=bool if name in ("strict", "alive") else np.float64)
+            for name in fields
+        )
+        for block in self.blocks():
+            for array, name in zip(out, fields):
+                array[block.start : block.stop] = getattr(block, name)
+        return out
 
     def export_rows(self):
-        """Trimmed contiguous copies of (matrix, strict, alive) — the
-        legacy pickle/snapshot format of the dense path."""
+        """Trimmed (matrix, strict, alive) over all rows — the pickle
+        format of :class:`~repro.filtering.AspeLibrary`."""
         if self.width is None:
             return None
-        matrix = np.empty((self._rows, self.width))
-        strict = np.empty(self._rows, dtype=bool)
-        alive = np.empty(self._rows, dtype=bool)
-        for block in self.blocks():
-            matrix[block.start : block.stop] = block.matrix
-            strict[block.start : block.stop] = block.strict
-            alive[block.start : block.stop] = block.alive
-        return matrix, strict, alive
+        return tuple(
+            np.ascontiguousarray(a) for a in self._gather("matrix", "strict", "alive")
+        )
 
     def materialize(self):
-        """Contiguous copies of (matrix, strict, tol_signed) for packed views."""
+        """(matrix, strict, tol_signed) over all rows for packed views.
+
+        Zero-copy views when the store is one chunk; contiguous copies
+        only when it spans several.
+        """
         if self.width is None:
             return None
-        matrix = np.empty((self._rows, self.width))
-        strict = np.empty(self._rows, dtype=bool)
-        tol_signed = np.empty(self._rows)
-        for block in self.blocks():
-            matrix[block.start : block.stop] = block.matrix
-            strict[block.start : block.stop] = block.strict
-            tol_signed[block.start : block.stop] = block.tol_signed
-        return matrix, strict, tol_signed
+        return self._gather("matrix", "strict", "tol_signed")
 
     # -- shard transfer -------------------------------------------------------
 
@@ -440,15 +559,12 @@ class ChunkedMatrixStore:
         """Move one chunk object (and its file) from ``source`` into self."""
         source._forget(chunk)
         if chunk.path is not None:
-            new_path = os.path.join(
-                self._ensure_dir(), f"chunk-{self._chunk_seq:06d}.f64"
-            )
-            self._chunk_seq += 1
+            new_path = self._next_path()
             # A rename keeps any open mapping valid: same inode, new name.
             os.replace(chunk.path, new_path)
             chunk.path = new_path
         self._chunks.append(chunk)
-        if chunk.data is not None:
+        if chunk.matrix is not None:
             self._track_resident(chunk)
 
     def adopt(self, other: "ChunkedMatrixStore") -> int:
@@ -488,7 +604,7 @@ class ChunkedMatrixStore:
         other._label = self._label
         if row == self._rows:
             return other, 0
-        offsets = self._chunk_offsets()
+        offsets = self.offsets()
         index = int(np.searchsorted(offsets, row, side="right")) - 1
         local = row - int(offsets[index])
         copied = 0
@@ -496,14 +612,13 @@ class ChunkedMatrixStore:
         if local > 0:
             chunk = self._chunks[index]
             used = chunk.used
-            width = self.width
-            data = self._data(chunk)
+            self._touch(chunk)
             tail_alive = chunk.alive[local:used].copy()
             other.append(
-                np.ascontiguousarray(data[local:used, :width]),
-                chunk.strict[local:used].copy(),
-                data[local:used, width].copy(),
-                data[local:used, width + 1].copy(),
+                chunk.matrix[local:used],
+                chunk.strict[local:used],
+                chunk.tol_base[local:used],
+                chunk.tol_signed[local:used],
             )
             # append marks everything alive; restore the real flags.
             cursor = 0

@@ -1,14 +1,13 @@
 """Configuration of the packed-matrix backing store.
 
-One :class:`StoreConfig` selects how an :class:`~repro.filtering.AspeLibrary`
-keeps its packed predicate rows: fully resident in RAM (``dense``, the
-seed behaviour), row-chunked in RAM (``chunked``), or row-chunked and
-persisted through ``numpy.memmap`` with an LRU-bounded resident set
-(``mmap``) so one M-slice can serve subscription partitions far larger
-than its memory budget.
+One :class:`StoreConfig` shapes how an :class:`~repro.filtering.AspeLibrary`
+keeps its packed predicate rows: in row chunks of at most ``chunk_rows``
+rows, held in RAM, or — when ``memory_budget_mb > 0`` — persisted
+through ``numpy.memmap`` with an LRU-bounded resident set, so one M-slice
+can serve subscription partitions far larger than its memory budget.
 
 Defaults come from the ``REPRO_STORE_*`` environment variables so an
-existing deployment or test run flips backends without code changes —
+existing deployment or test run changes the store without code changes —
 the same convention as the ``REPRO_MATCH_*`` parallel-matching knobs.
 """
 
@@ -19,69 +18,61 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from ...config import env_float, env_int, env_str
+from ...config import env_float, env_int
 
-__all__ = ["STORE_BACKENDS", "StoreConfig"]
-
-#: Recognised packed-row store backends.
-STORE_BACKENDS = ("dense", "chunked", "mmap")
+__all__ = ["StoreConfig"]
 
 
 @dataclass(frozen=True)
 class StoreConfig:
     """Validated knobs of the packed-row backing store.
 
-    ``backend``
-        ``dense`` keeps the seed's amortized-doubling in-RAM buffers;
-        ``chunked`` splits rows into fixed-size chunks held in RAM (the
-        shard transfer format, no eviction); ``mmap`` persists each chunk
-        through ``numpy.memmap`` and keeps only an LRU-pinned resident
-        set within ``memory_budget_mb``.
     ``chunk_rows``
-        Rows per chunk.  At ciphertext width ``n`` a chunk occupies
-        ``chunk_rows × (n + 2) × 8`` bytes of row data (matrix columns
-        plus the two tolerance columns).
+        Maximum rows per chunk.  At ciphertext width ``n`` a full chunk
+        occupies ``chunk_rows × (n + 2) × 8`` bytes of row data (matrix
+        columns plus the two tolerance columns).
     ``memory_budget_mb``
-        Resident-set budget for ``mmap`` chunk data, in MiB.  ``0``
-        disables eviction.  The hottest chunk is never evicted, so the
-        effective floor is one chunk.
+        Resident-set budget for chunk data, in MiB.  ``0`` keeps every
+        chunk in RAM; any positive budget spills each chunk to a
+        ``numpy.memmap`` file and evicts least-recently-used chunks past
+        the budget.  The hottest chunk is never evicted, so the effective
+        floor is one chunk.
     ``compact_dead_ratio``
         Compact once ``dead / (dead + live)`` exceeds this ratio (and
-        dead rows exceed a fixed floor).  The default ``0.5`` reproduces
-        the seed's hardcoded "dead rows outnumber live ones" trigger;
-        ``1.0`` disables compaction entirely.
+        dead rows exceed a fixed floor).  The default ``0.5`` is the
+        "dead rows outnumber live ones" trigger; ``1.0`` disables
+        compaction entirely.
     ``spill_dir``
-        Parent directory for ``mmap`` chunk files (default: the system
+        Parent directory for spilled chunk files (default: the system
         temporary directory).  Each store creates — and removes on
         garbage collection — its own subdirectory.
     """
 
-    backend: str = "dense"
     chunk_rows: int = 65536
     memory_budget_mb: float = 0.0
     compact_dead_ratio: float = 0.5
     spill_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.backend not in STORE_BACKENDS:
-            raise ValueError(
-                f"store_backend must be one of {STORE_BACKENDS}, "
-                f"got {self.backend!r}"
-            )
         if self.chunk_rows < 1:
             raise ValueError(
                 f"store_chunk_rows must be >= 1, got {self.chunk_rows}"
             )
         if self.memory_budget_mb < 0:
             raise ValueError(
-                f"store_memory_budget_mb must be >= 0 (0 disables eviction), "
-                f"got {self.memory_budget_mb}"
+                f"store_memory_budget_mb must be >= 0 (0 keeps chunks in "
+                f"RAM), got {self.memory_budget_mb}"
             )
         if not 0.0 < self.compact_dead_ratio <= 1.0:
             raise ValueError(
                 f"store_compact_dead_ratio must be in (0, 1] (1 disables "
                 f"compaction), got {self.compact_dead_ratio}"
             )
+
+    @property
+    def spills(self) -> bool:
+        """Whether chunks live in ``numpy.memmap`` files under a budget."""
+        return self.memory_budget_mb > 0
 
     @property
     def memory_budget_bytes(self) -> int:
@@ -91,7 +82,6 @@ class StoreConfig:
     def from_env(cls) -> "StoreConfig":
         """Build from ``REPRO_STORE_*`` (unset variables keep defaults)."""
         return cls(
-            backend=env_str("REPRO_STORE_BACKEND", "dense"),
             chunk_rows=env_int("REPRO_STORE_CHUNK_ROWS", 65536),
             memory_budget_mb=env_float("REPRO_STORE_MEMORY_BUDGET_MB", 0.0),
             compact_dead_ratio=env_float("REPRO_STORE_COMPACT_DEAD_RATIO", 0.5),

@@ -212,18 +212,6 @@ class ShardedAspeLibrary(FilteringLibrary):
         return len(self._shards) >= 2
 
     @staticmethod
-    def _row_bytes(library) -> int:
-        chunks = getattr(library, "_chunks", None)
-        if chunks is not None and chunks.width is not None:
-            width = chunks.width
-        elif getattr(library, "_matrix", None) is not None:
-            width = library._matrix.shape[1]
-        else:
-            return 0
-        # float64 row data + tolerance columns, plus the strict/alive flags.
-        return (width + 2) * 8 + 2
-
-    @staticmethod
     def _span_boundary(library, moving_ids) -> Optional[int]:
         """Row boundary separating staying rows from moving rows, if any.
 
@@ -281,7 +269,7 @@ class ShardedAspeLibrary(FilteringLibrary):
                 f"(keys span [{keys[0]}, {keys[-1]}])"
             )
         moving_ids = [k for k in library.subscription_ids() if k >= pivot_key]
-        row_bytes = self._row_bytes(library)
+        row_bytes = library.row_bytes
         boundary = self._span_boundary(library, moving_ids)
         if boundary is not None:
             new_library, rewritten = library.detach_suffix(boundary, moving_ids)
@@ -371,7 +359,7 @@ class ShardedAspeLibrary(FilteringLibrary):
     def store_stats(self) -> Dict[str, object]:
         """Aggregated backing-store statistics across shards."""
         totals: Dict[str, object] = {
-            "backend": self._store_config.backend,
+            "spills": self._store_config.spills,
             "shards": len(self._shards),
             "chunks": 0,
             "rows": 0,

@@ -65,7 +65,7 @@ class HubConfig:
     (``REPRO_MATCH_*``), :attr:`store` (``REPRO_STORE_*``), :attr:`net`
     (``REPRO_NET_*``) and :attr:`policy` (``REPRO_POLICY_*``) — each
     defining its env/constructor precedence in one place.  The historical
-    flat fields (``match_workers``, ``store_backend``, ``net_flush_mode``,
+    flat fields (``match_workers``, ``store_chunk_rows``, ``net_flush_mode``,
     …) remain as backward-compatible aliases: pass either form; an
     explicitly passed group wins over flat kwargs, and after construction
     the flat fields always mirror the resolved group.  The flat spellings
@@ -115,18 +115,15 @@ class HubConfig:
     #: benchmarks).  When ``None`` and ``match_workers > 0`` the hub uses
     #: the process-wide shared executor for its knobs.
     match_executor: Optional[object] = None
-    #: Packed-row backing store of exact (ASPE) M-slice libraries:
-    #: ``dense`` (flat in-RAM arrays, the default), ``chunked`` (in-RAM
-    #: row chunks) or ``mmap`` (memmap-persisted chunks with an LRU
-    #: resident set).  From ``REPRO_STORE_BACKEND``; sampled backends
-    #: ignore it.  See DESIGN.md §8.
-    store_backend: str = field(default_factory=lambda: _env_store_config().backend)
-    #: Rows per store chunk.  From ``REPRO_STORE_CHUNK_ROWS``.
+    #: Packed-row store of exact (ASPE) M-slice libraries (sampled
+    #: backends ignore it; see DESIGN.md §8).  Maximum rows per store
+    #: chunk.  From ``REPRO_STORE_CHUNK_ROWS``.
     store_chunk_rows: int = field(
         default_factory=lambda: _env_store_config().chunk_rows
     )
-    #: Resident-set budget per library in MiB for the ``mmap`` backend
-    #: (0 = unbounded).  From ``REPRO_STORE_MEMORY_BUDGET_MB``.
+    #: Resident-set budget per library in MiB: any positive budget spills
+    #: chunks to memory-mapped files (0 = every chunk stays in RAM).  From
+    #: ``REPRO_STORE_MEMORY_BUDGET_MB``.
     store_memory_budget_mb: float = field(
         default_factory=lambda: _env_store_config().memory_budget_mb
     )
@@ -136,7 +133,7 @@ class HubConfig:
     store_compact_dead_ratio: float = field(
         default_factory=lambda: _env_store_config().compact_dead_ratio
     )
-    #: Directory for mmap chunk files (``None`` = a per-store temp dir).
+    #: Directory for spilled chunk files (``None`` = a per-store temp dir).
     #: From ``REPRO_STORE_SPILL_DIR``.
     store_spill_dir: Optional[str] = field(
         default_factory=lambda: _env_store_config().spill_dir
@@ -211,14 +208,12 @@ class HubConfig:
             self.match_chunk_rows = self.match.chunk_rows
         if self.store is None:
             self.store = StoreConfig(
-                backend=self.store_backend,
                 chunk_rows=self.store_chunk_rows,
                 memory_budget_mb=self.store_memory_budget_mb,
                 compact_dead_ratio=self.store_compact_dead_ratio,
                 spill_dir=self.store_spill_dir,
             )
         else:
-            self.store_backend = self.store.backend
             self.store_chunk_rows = self.store.chunk_rows
             self.store_memory_budget_mb = self.store.memory_budget_mb
             self.store_compact_dead_ratio = self.store.compact_dead_ratio

@@ -7,6 +7,7 @@ matrix-matrix kernel, so its equivalence is the interesting case; the
 plaintext libraries exercise the shared default.
 """
 
+import math
 import random
 
 import pytest
@@ -148,3 +149,24 @@ def test_exact_backend_batch_matches_loop(cipher):
     batched = backend.match_batch(pub_ids, payloads)
     singles = [backend.match(i, p) for i, p in zip(pub_ids, payloads)]
     assert [(r.count, r.ids) for r in batched] == [(r.count, r.ids) for r in singles]
+
+
+def test_store_match_loop_reallocates_scratch_logarithmically(cipher):
+    """Scratch buffers grow with headroom: a match after every store must
+    not reallocate them each time the row count creeps up."""
+    rng = random.Random(21)
+    library = AspeLibrary()
+    publications = [
+        cipher.encrypt_publication([rng.uniform(0.0, 1000.0) for _ in range(4)])
+        for _ in range(4)
+    ]
+    for sub_id in range(1000):
+        library.store(sub_id, cipher.encrypt_subscription(random_filter(rng)))
+        library.match_batch(publications)
+    rows = library.store_stats()["rows"]
+    # Five named buffers, each regrown only after ~25% growth.
+    buffers = 5
+    assert library.workspace_allocations <= buffers * (
+        math.log(rows, 1.25) + 2
+    )
+    assert library.workspace_allocations < rows // 4

@@ -91,7 +91,8 @@ def test_churn_compacts_instead_of_repacking(cipher):
     assert library.full_pack_count == 0
     assert library.compaction_count >= 1
     # Tombstones never exceed the live rows after maintenance.
-    assert library._dead_rows <= max(library._rows - library._dead_rows, 64)
+    stats = library.store_stats()
+    assert stats["dead_rows"] <= max(stats["rows"] - stats["dead_rows"], 64)
     publication = cipher.encrypt_publication([500.0, 500.0, 500.0, 500.0])
     assert library.match(publication) == fresh_copy(library).match(publication)
 

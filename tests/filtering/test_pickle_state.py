@@ -2,15 +2,17 @@
 
 Packed snapshots shipped to matching workers and migration state copies
 both serialize the library, so `__getstate__` must exclude everything
-recomputable — workspace buffers, the span index, the tolerance caches —
-and trim the amortized-doubling buffers to the rows in use.  These tests
-pin that contract: matching activity must not grow the pickle, and a
-restored library must decide identically.
+recomputable — workspace buffers, the span index, the tolerance columns,
+the chunk layout — and serialize the packed rows as one block trimmed to
+the rows in use (no spare tail-chunk capacity).  These tests pin that
+contract: matching activity must not grow the pickle, and a restored
+library must decide identically.
 """
 
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.filtering import (
@@ -56,7 +58,7 @@ def test_matching_does_not_grow_the_pickle(cipher):
         for _ in range(64)
     ]
     library.match_batch(batch)
-    assert library._ws, "expected match_batch to populate workspace buffers"
+    assert library.workspace_allocations, "expected match_batch to allocate scratch"
     after = len(pickle.dumps(library, protocol=pickle.HIGHEST_PROTOCOL))
     assert after == before
 
@@ -67,15 +69,22 @@ def test_getstate_drops_scratch_and_trims_buffers(cipher):
         [cipher.encrypt_publication([1.0, 2.0, 3.0, 4.0])]
     )
     library.match(cipher.encrypt_publication([4.0, 3.0, 2.0, 1.0]))
+    view = library.packed_view()
     state = library.__getstate__()
+    # The one pickle format: no store object, no scratch, and the rows as
+    # a trimmed (matrix, strict, alive) block.
+    assert "_store" not in state
     assert state["_ws"] == {}
     assert state["_index"] is None
-    assert state["_tol_base"] is None
-    assert state["_tol_signed"] is None
-    # Amortized-doubling tails are trimmed to the rows actually in use.
-    assert state["_matrix"].shape[0] == library._rows
-    assert state["_strict"].shape[0] == library._rows
-    assert state["_alive"].shape[0] == library._rows
+    assert state["_materialized"] is None
+    matrix, strict, alive = state["_packed"]
+    # The growing tail chunk's spare capacity is trimmed to the rows in use.
+    assert view.rows < library.store_stats()["resident_bytes"] // (
+        (view.width + 2) * 8
+    )
+    assert matrix.shape == (view.rows, view.width)
+    assert strict.shape == alive.shape == (view.rows,)
+    assert np.array_equal(matrix, view.matrix)
 
 
 def test_roundtrip_decides_identically(cipher):

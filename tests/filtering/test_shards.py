@@ -51,8 +51,7 @@ def test_sharded_matches_single_library_order(workload):
     order = list(subs)
     random.Random(9).shuffle(order)
     single = AspeLibrary()
-    sharded = ShardedAspeLibrary(store_config=StoreConfig(backend="chunked",
-                                                          chunk_rows=8))
+    sharded = ShardedAspeLibrary(store_config=StoreConfig(chunk_rows=8))
     fill(single, subs, order)
     fill(sharded, subs, order)
     sharded.split_shard()
@@ -99,7 +98,7 @@ def test_split_validation_errors(workload):
 
 def test_ordered_load_split_is_boundary_detach(workload):
     subs, pubs = workload
-    config = StoreConfig(backend="chunked", chunk_rows=8)
+    config = StoreConfig(chunk_rows=8)
     sharded = ShardedAspeLibrary(store_config=config)
     sharded.store_many(sorted(subs.items()))  # key-ordered bulk load
     result = sharded.split_shard()
@@ -128,8 +127,7 @@ def test_interleaved_load_split_falls_back_to_rebuild(workload):
 
 def test_merge_adopts_chunks_zero_rewrites(workload):
     subs, pubs = workload
-    sharded = ShardedAspeLibrary(store_config=StoreConfig(backend="chunked",
-                                                          chunk_rows=8))
+    sharded = ShardedAspeLibrary(store_config=StoreConfig(chunk_rows=8))
     sharded.store_many(sorted(subs.items()))
     sharded.split_shard()
     sharded.split_shard()
@@ -220,12 +218,11 @@ def test_export_import_roundtrip(workload):
 
 def test_store_stats_aggregates_across_shards(workload):
     subs, _ = workload
-    sharded = ShardedAspeLibrary(store_config=StoreConfig(backend="chunked",
-                                                          chunk_rows=8))
+    sharded = ShardedAspeLibrary(store_config=StoreConfig(chunk_rows=8))
     sharded.store_many(sorted(subs.items()))
     sharded.split_shard()
     stats = sharded.store_stats()
-    assert stats["backend"] == "chunked"
+    assert stats["spills"] is False
     assert stats["shards"] == 2
     assert stats["rows"] == 2 * len(subs)
     assert stats["chunks"] >= 2

@@ -1,4 +1,4 @@
-"""Unit tests for the chunked / memory-mapped packed-row store."""
+"""Unit tests for the chunked packed-row store, in RAM and spilled."""
 
 import os
 
@@ -8,12 +8,17 @@ import pytest
 from repro.filtering.store import ChunkedMatrixStore, StoreConfig
 
 
-def make_store(backend="chunked", chunk_rows=4, budget_mb=0.0, spill_dir=None):
+#: The two store shapes: chunks held in RAM ("chunked"), and chunks
+#: spilled to memory-mapped files under a budget too large to evict
+#: anything ("mmap").
+_BUDGETS_MB = {"chunked": 0.0, "mmap": 1024.0}
+
+
+def make_store(kind="chunked", chunk_rows=4, budget_mb=None, spill_dir=None):
     return ChunkedMatrixStore(
         StoreConfig(
-            backend=backend,
             chunk_rows=chunk_rows,
-            memory_budget_mb=budget_mb,
+            memory_budget_mb=_BUDGETS_MB[kind] if budget_mb is None else budget_mb,
             spill_dir=spill_dir,
         )
     )
@@ -43,9 +48,9 @@ def contents(store):
     )
 
 
-@pytest.mark.parametrize("backend", ["chunked", "mmap"])
-def test_append_spans_and_blocks_roundtrip(backend, tmp_path):
-    store = make_store(backend, chunk_rows=4, spill_dir=str(tmp_path))
+@pytest.mark.parametrize("kind", ["chunked", "mmap"])
+def test_append_spans_and_blocks_roundtrip(kind, tmp_path):
+    store = make_store(kind, chunk_rows=4, spill_dir=str(tmp_path))
     m, s, tb, ts = rows(6)
     assert store.append(m, s, tb, ts) == (0, 6)
     m2, s2, tb2, ts2 = rows(3, base=100.0)
@@ -84,9 +89,9 @@ def test_mark_dead_touches_only_flags():
     np.testing.assert_array_equal(got[4], expected_alive)
 
 
-@pytest.mark.parametrize("backend", ["chunked", "mmap"])
-def test_compact_preserves_live_order_and_remaps(backend, tmp_path):
-    store = make_store(backend, chunk_rows=4, spill_dir=str(tmp_path))
+@pytest.mark.parametrize("kind", ["chunked", "mmap"])
+def test_compact_preserves_live_order_and_remaps(kind, tmp_path):
+    store = make_store(kind, chunk_rows=4, spill_dir=str(tmp_path))
     m, s, tb, ts = rows(12)
     store.append(m, s, tb, ts)
     store.mark_dead(0, 4)  # whole first chunk dies
@@ -124,7 +129,7 @@ def test_mmap_eviction_respects_budget_and_refaults(tmp_path):
     # so the peak may overshoot the budget by at most one chunk.
     assert store.resident_peak_bytes <= 2 * 160 + 160
     stats = store.stats()
-    assert stats["backend"] == "mmap"
+    assert stats["spills"] is True
     assert stats["faults"] == store.fault_count
 
 
@@ -139,10 +144,10 @@ def test_budget_below_one_chunk_never_evicts_touched_chunk(tmp_path):
     assert store.resident_chunks >= 1
 
 
-@pytest.mark.parametrize("backend", ["chunked", "mmap"])
-def test_adopt_moves_chunks_without_rewriting(backend, tmp_path):
-    left = make_store(backend, chunk_rows=4, spill_dir=str(tmp_path))
-    right = make_store(backend, chunk_rows=4, spill_dir=str(tmp_path))
+@pytest.mark.parametrize("kind", ["chunked", "mmap"])
+def test_adopt_moves_chunks_without_rewriting(kind, tmp_path):
+    left = make_store(kind, chunk_rows=4, spill_dir=str(tmp_path))
+    right = make_store(kind, chunk_rows=4, spill_dir=str(tmp_path))
     ml, *restl = rows(5)
     mr, *restr = rows(6, base=50.0)
     left.append(ml, *restl)
@@ -156,16 +161,16 @@ def test_adopt_moves_chunks_without_rewriting(backend, tmp_path):
     assert left._chunks[-len(moved_chunks):] == moved_chunks
     got = contents(left)
     np.testing.assert_array_equal(got[0], np.concatenate([ml, mr]))
-    if backend == "mmap":
+    if kind == "mmap":
         # Spill files were renamed into the adopter's directory.
         for chunk in moved_chunks:
             assert os.path.dirname(chunk.path) == left._dir
             assert os.path.exists(chunk.path)
 
 
-@pytest.mark.parametrize("backend", ["chunked", "mmap"])
-def test_split_at_chunk_boundary_copies_nothing(backend, tmp_path):
-    store = make_store(backend, chunk_rows=4, spill_dir=str(tmp_path))
+@pytest.mark.parametrize("kind", ["chunked", "mmap"])
+def test_split_at_chunk_boundary_copies_nothing(kind, tmp_path):
+    store = make_store(kind, chunk_rows=4, spill_dir=str(tmp_path))
     m, s, tb, ts = rows(12)
     store.append(m, s, tb, ts)
     suffix_chunks = store._chunks[1:]
@@ -216,8 +221,8 @@ def test_from_env_rejects_bad_values(monkeypatch):
     with pytest.raises(ValueError, match="REPRO_STORE_CHUNK_ROWS"):
         StoreConfig.from_env()
     monkeypatch.setenv("REPRO_STORE_CHUNK_ROWS", "1024")
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "tape")
-    with pytest.raises(ValueError, match="store_backend"):
+    monkeypatch.setenv("REPRO_STORE_MEMORY_BUDGET_MB", "-1")
+    with pytest.raises(ValueError, match="store_memory_budget_mb"):
         StoreConfig.from_env()
 
 
@@ -231,3 +236,51 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StoreConfig(compact_dead_ratio=1.5)
     assert StoreConfig(compact_dead_ratio=1.0).compact_dead_ratio == 1.0
+
+
+def test_ram_tail_chunk_grows_by_doubling_up_to_chunk_rows():
+    store = make_store(chunk_rows=300)
+    store.append(*rows(1))
+    assert store.resident_bytes == 64 * 5 * 8  # a small first tail
+    store.append(*rows(70, base=1.0))
+    assert store.chunk_count == 1
+    assert store.resident_bytes == 128 * 5 * 8
+    store.append(*rows(200, base=2.0))  # 271 rows: capped at chunk_rows
+    assert store.chunk_count == 1
+    assert store.resident_bytes == 300 * 5 * 8
+    store.append(*rows(40, base=3.0))  # spills over into a second chunk
+    assert store.chunk_count == 2
+    got = contents(store)
+    assert got[0].shape == (311, 3)
+    np.testing.assert_array_equal(got[0][271:], rows(40, base=3.0)[0])
+
+
+def test_spilled_chunk_is_one_file_of_three_regions(tmp_path):
+    store = make_store("mmap", chunk_rows=4, spill_dir=str(tmp_path))
+    m, s, tb, ts = rows(3)
+    store.append(m, s, tb, ts)
+    (path,) = [chunk.path for chunk in store._chunks]
+    flat = np.fromfile(path, dtype=np.float64)
+    assert flat.size == 4 * (3 + 2)  # full chunk_rows, no tail growth
+    np.testing.assert_array_equal(flat[:9].reshape(3, 3), m)
+    np.testing.assert_array_equal(flat[12:15], tb)
+    np.testing.assert_array_equal(flat[16:19], ts)
+
+
+@pytest.mark.parametrize("kind", ["chunked", "mmap"])
+def test_reserve_commit_writes_in_place_or_declines_a_straddle(kind, tmp_path):
+    store = make_store(kind, chunk_rows=4, spill_dir=str(tmp_path))
+    chunk = store.reserve(3, width=3)
+    m, s, tb, ts = rows(3)
+    assert chunk.used == 0
+    chunk.matrix[:3] = m
+    chunk.strict[:3] = s
+    chunk.tol_base[:3] = tb
+    chunk.tol_signed[:3] = ts
+    assert store.commit(3) == (0, 3)
+    assert store.reserve(2, width=3) is None  # would straddle two chunks
+    assert store.rows == 3
+    got = contents(store)
+    np.testing.assert_array_equal(got[0], m)
+    np.testing.assert_array_equal(got[3], ts)
+    assert got[4].all()

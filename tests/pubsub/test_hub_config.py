@@ -112,13 +112,13 @@ def test_grouped_configs_mirror_into_flat_aliases():
 
     config = small_exact_config(
         match=MatchConfig(workers=2, backend="pool", chunk_rows=64),
-        store=StoreConfig(backend="mmap", chunk_rows=128),
+        store=StoreConfig(memory_budget_mb=8.0, chunk_rows=128),
         net=NetConfig(flush_mode="adaptive", backpressure=True),
         policy=PolicyConfig(signals=("cpu", "slo")),
     )
     assert (config.match_workers, config.match_backend) == (2, "pool")
     assert config.match_chunk_rows == 64
-    assert (config.store_backend, config.store_chunk_rows) == ("mmap", 128)
+    assert (config.store_memory_budget_mb, config.store_chunk_rows) == (8.0, 128)
     assert config.net_flush_mode == "adaptive"
     assert config.net_backpressure is True
     assert config.policy.signals == ("cpu", "slo")
@@ -126,10 +126,10 @@ def test_grouped_configs_mirror_into_flat_aliases():
 
 def test_flat_fields_build_the_groups_when_no_group_is_given():
     config = small_exact_config(
-        match_workers=3, store_backend="mmap", net_backpressure=True
+        match_workers=3, store_memory_budget_mb=8.0, net_backpressure=True
     )
     assert config.match.workers == 3
-    assert config.store.backend == "mmap"
+    assert config.store.spills
     assert config.net.backpressure is True
     assert config.policy is not None
 
