@@ -36,7 +36,7 @@ from repro.filtering import (
     PredicateSet,
 )
 from repro.metrics import write_json
-from repro.parallel import create_executor
+from repro.parallel import MatchConfig, create_executor
 from repro.pubsub import HubConfig, Publication, StreamHub, Subscription
 from repro.sim import Environment
 
@@ -98,8 +98,7 @@ def run_pipeline(workers: int, batch_limit: int, executor=None):
         ap_batch_limit=batch_limit,
         matcher_batch_limit=batch_limit,
         ep_batch_limit=batch_limit,
-        match_workers=workers,
-        match_chunk_rows=CHUNK_ROWS,
+        match=MatchConfig.from_env(workers=workers, chunk_rows=CHUNK_ROWS),
         match_executor=executor,
     )
     hub = StreamHub(env, cloud.network, config)

@@ -42,6 +42,7 @@ from repro.elastic import ElasticityPolicy
 from repro.experiments.elastic import run_elastic
 from repro.experiments.harness import ExperimentSetup
 from repro.metrics import write_json
+from repro.transport import TransportConfig
 from repro.workloads import trapezoid
 
 from conftest import memory_snapshot, run_once
@@ -90,7 +91,11 @@ def run_variant(name: str) -> dict:
     if name in RESULTS:
         return RESULTS[name]
     policy = ElasticityPolicy(**VARIANTS[name])
-    setup = ExperimentSetup(backpressure=True, credit_window=8)
+    setup = ExperimentSetup(
+        net=TransportConfig.from_env(
+            flush_mode="fixed", flush_s=0.10, backpressure=True, credit_window=8
+        )
+    )
     result = run_elastic(double_surge, DURATION_S, setup=setup, policy=policy)
 
     t_ref = None

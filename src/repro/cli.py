@@ -27,6 +27,7 @@ experiments (``figure8``/``figure9``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -67,17 +68,20 @@ def _positive_chunk_rows(value: str) -> int:
 def _add_match_options(p: argparse.ArgumentParser) -> None:
     """Parallel matching knobs shared by telemetry-demo commands."""
     p.add_argument(
-        "--match-workers", type=_non_negative_workers, default=0,
-        help="worker processes for parallel matching (0 = inline, default)",
+        "--match-workers", type=_non_negative_workers, default=None,
+        help="worker processes for parallel matching (default: "
+        "REPRO_MATCH_WORKERS or 0 = inline)",
     )
     p.add_argument(
         "--match-backend", choices=["auto", "inline", "pool", "shm"],
-        default="auto",
-        help="matching execution backend (default: auto)",
+        default=None,
+        help="matching execution backend (default: REPRO_MATCH_BACKEND or "
+        "auto)",
     )
     p.add_argument(
-        "--match-chunk-rows", type=_positive_chunk_rows, default=4096,
-        help="minimum packed-matrix rows per worker chunk (default: 4096)",
+        "--match-chunk-rows", type=_positive_chunk_rows, default=None,
+        help="minimum packed-matrix rows per worker chunk (default: "
+        "REPRO_MATCH_CHUNK_ROWS or 4096)",
     )
 
 
@@ -124,33 +128,6 @@ def _add_net_options(p: argparse.ArgumentParser) -> None:
         "--net-credit-window", type=_positive_chunk_rows, default=None,
         help="send credits per channel (default: REPRO_NET_CREDIT_WINDOW or 256)",
     )
-
-
-#: ``argparse`` destinations of the policy flags — identical to the
-#: :class:`repro.elastic.PolicyConfig` knob names, so the parsed values
-#: forward verbatim as ``from_env`` overrides.
-_POLICY_FLAG_DESTS = (
-    "signals",
-    "target_utilization",
-    "scale_out_threshold",
-    "scale_in_threshold",
-    "local_overload_threshold",
-    "grace_period_s",
-    "min_hosts",
-    "backlog_aware_scaling",
-    "max_scale_out_factor",
-    "slo_p99_s",
-    "slo_window_s",
-    "slo_min_samples",
-    "slo_sustain_rounds",
-    "slo_release_fraction",
-    "slo_veto_max_rounds",
-    "spill_depth_limit",
-    "spill_starved_limit",
-    "spill_sustain_rounds",
-    "spill_hold_rounds",
-    "symptom_target_fraction",
-)
 
 
 def _add_policy_options(p: argparse.ArgumentParser) -> None:
@@ -205,51 +182,40 @@ def _add_policy_options(p: argparse.ArgumentParser) -> None:
                    help="symptom scale-outs pack toward target * fraction")
 
 
-def _policy_overrides(args) -> dict:
-    """PolicyConfig overrides for the policy flags the user passed."""
-    overrides = {}
-    for dest in _POLICY_FLAG_DESTS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[dest] = value
-    return overrides
+def _overrides(args, group, flag_prefix: str = "") -> dict:
+    """``group.from_env`` overrides (CLI > env > default), one per knob.
+
+    The flag of knob ``name`` parses into ``args.<flag_prefix><name>``;
+    flags a command does not define, or the user left unset, read as
+    ``None`` and fall through to the environment.
+    """
+    return {
+        spec.name: getattr(args, flag_prefix + spec.name, None)
+        for spec in dataclasses.fields(group)
+    }
 
 
 def _policy_from_args(args):
     """The :class:`ElasticityPolicy` resolved from CLI > env > default."""
-    from .elastic import PolicyConfig
+    from .elastic import ElasticityPolicy
 
-    return PolicyConfig.from_env(**_policy_overrides(args)).policy()
-
-
-def _net_overrides(args) -> dict:
-    """HubConfig transport kwargs for the --net-* flags the user passed."""
-    overrides = {}
-    for attr, field in (
-        ("net_flush_mode", "net_flush_mode"),
-        ("net_flush_s", "net_flush_s"),
-        ("net_flush_max_batch", "net_flush_max_batch"),
-        ("net_backpressure", "net_backpressure"),
-        ("net_credit_window", "net_credit_window"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field] = value
-    return overrides
+    return ElasticityPolicy.from_env(**_overrides(args, ElasticityPolicy))
 
 
-def _store_overrides(args) -> dict:
-    """HubConfig store kwargs for the --store-* flags the user passed."""
-    overrides = {}
-    for attr, field in (
-        ("store_chunk_rows", "store_chunk_rows"),
-        ("store_memory_budget_mb", "store_memory_budget_mb"),
-        ("store_compact_dead_ratio", "store_compact_dead_ratio"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field] = value
-    return overrides
+def _demo_groups(args) -> dict:
+    """The match/store/net groups of the telemetry demo, from the flags."""
+    from .filtering import StoreConfig
+    from .parallel import MatchConfig
+    from .transport import TransportConfig
+
+    return {
+        name: group.from_env(**_overrides(args, group, f"{name}_"))
+        for name, group in (
+            ("match", MatchConfig),
+            ("store", StoreConfig),
+            ("net", TransportConfig),
+        )
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,23 +478,21 @@ def _cmd_cost(args) -> None:
 
 def _telemetry_demo(
     publications: int,
+    match,
+    store,
+    net,
     migrate: bool = True,
-    match_workers: int = 0,
-    match_backend: str = "auto",
-    match_chunk_rows: int = 4096,
-    store_overrides: Optional[dict] = None,
-    net_overrides: Optional[dict] = None,
     stream_trace_to: Optional[tuple] = None,
 ):
     """One small telemetry-enabled deployment, fully deterministic.
 
-    Two engine hosts run a 2/4/2-slice hub; a burst of ``publications``
-    flows through while (optionally) the stateful slice ``M:0``
-    live-migrates between the hosts.  Matching is statistically sampled
-    by default; with ``match_workers > 0`` it switches to real ASPE
-    filtering through the parallel worker pool so the worker-pool metric
-    families carry data.  Returns ``(telemetry,
-    migration_report_or_None)``.
+    Two engine hosts run a 2/4/2-slice hub configured with the resolved
+    ``match``/``store``/``net`` groups; a burst of ``publications`` flows
+    through while (optionally) the stateful slice ``M:0`` live-migrates
+    between the hosts.  Matching is statistically sampled by default;
+    with ``match.workers > 0`` it switches to real ASPE filtering through
+    the parallel worker pool so the worker-pool metric families carry
+    data.  Returns ``(telemetry, migration_report_or_None)``.
     """
     import random
 
@@ -559,14 +523,12 @@ def _telemetry_demo(
         ep_slices=2,
         sink_slices=1,
         telemetry=telemetry,
-        match_workers=match_workers,
-        match_backend=match_backend,
-        match_chunk_rows=match_chunk_rows,
-        **(store_overrides or {}),
-        **(net_overrides or {}),
+        match=match,
+        store=store,
+        net=net,
     )
     cipher = None
-    if match_workers > 0:
+    if match.workers > 0:
         key = AspeKey.generate(4, rng=random.Random(42))
         cipher = AspeCipher(key, rng=random.Random(43))
         config = HubConfig(
@@ -620,12 +582,8 @@ def _cmd_trace(args) -> None:
     tel, report = _telemetry_demo(
         args.publications,
         migrate=not args.no_migration,
-        match_workers=args.match_workers,
-        match_backend=args.match_backend,
-        match_chunk_rows=args.match_chunk_rows,
-        store_overrides=_store_overrides(args),
-        net_overrides=_net_overrides(args),
         stream_trace_to=stream_trace_to,
+        **_demo_groups(args),
     )
     # Streaming finalization clears the resident list, so take the count
     # and the migration-phase spans before writing.
@@ -661,14 +619,7 @@ def _cmd_metrics(args) -> None:
 
     from .telemetry import to_prometheus, write_prometheus, write_snapshot_json
 
-    tel, _ = _telemetry_demo(
-        args.publications,
-        match_workers=args.match_workers,
-        match_backend=args.match_backend,
-        match_chunk_rows=args.match_chunk_rows,
-        store_overrides=_store_overrides(args),
-        net_overrides=_net_overrides(args),
-    )
+    tel, _ = _telemetry_demo(args.publications, **_demo_groups(args))
     registry = tel.metrics
     if args.fmt == "table":
         text = registry.render()
@@ -691,23 +642,23 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_policy(args) -> None:
-    from .elastic import PolicyConfig
+    from .elastic import ElasticityPolicy
 
-    overrides = _policy_overrides(args)
+    overrides = _overrides(args, ElasticityPolicy)
     try:
-        config = PolicyConfig.from_env(**overrides)
+        policy = ElasticityPolicy.from_env(**overrides)
     except ValueError as exc:
         raise SystemExit(f"policy: {exc}")
     print("Elasticity policy — resolved configuration")
     print(
         "signal stack: "
-        + " > ".join(config.signals)
+        + " > ".join(policy.signals)
         + "  (arbitration: scale-out > rebalance > scale-in, "
         "ties to the earlier signal)"
     )
     rows = [
         [knob, value, source]
-        for knob, value, source in PolicyConfig.provenance(**overrides)
+        for knob, value, source in ElasticityPolicy.provenance(**overrides)
     ]
     print(format_table(["knob", "value", "source"], rows))
 

@@ -1,20 +1,30 @@
 """Shared, validated ``REPRO_*`` environment-variable parsing.
 
-Every subsystem that reads configuration from the environment — the
-``REPRO_MATCH_*`` parallel-matching knobs, the ``REPRO_STORE_*`` packed-row
-store knobs and the ``REPRO_NET_*`` transport knobs — goes through these
-helpers, so the error behaviour is uniform: an unset or blank variable
-keeps the caller's default, a malformed value raises ``ValueError`` naming
-the variable, and a value outside an explicit ``choices`` set is rejected
-up front instead of surfacing as a downstream validation error.
+Every layer keeps one frozen config dataclass — :class:`MatchConfig`
+(``REPRO_MATCH_*``), :class:`StoreConfig` (``REPRO_STORE_*``),
+:class:`TransportConfig` (``REPRO_NET_*``) and :class:`ElasticityPolicy`
+(``REPRO_POLICY_*``) — and each inherits :class:`EnvConfig`, the one
+environment reader: field ``name`` reads ``<env_prefix><NAME>`` (or the
+field's ``env`` metadata in place of ``NAME``) and is parsed by the
+field's annotated type.  Precedence is the same everywhere: a non-``None``
+override (a CLI flag or a caller's explicit value) beats a set variable,
+which beats the field default.
+
+The error behaviour is uniform: an unset or blank variable keeps the
+default, a malformed value raises ``ValueError`` naming the variable, and
+a value outside a field's ``choices`` metadata is rejected up front
+instead of surfacing as a downstream validation error.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
-from typing import Optional, Sequence
+import typing
+from typing import Callable, ClassVar, Optional, Sequence, Tuple
 
-__all__ = ["env_int", "env_float", "env_bool", "env_str"]
+__all__ = ["EnvConfig", "env_int", "env_float", "env_bool", "env_str"]
 
 #: Accepted spellings for boolean environment knobs.
 _TRUE = ("1", "true", "yes", "on")
@@ -83,3 +93,86 @@ def env_str(
             f"got {value!r}"
         )
     return value
+
+
+#: Parsers by annotated field type; any other type (``str``,
+#: ``Optional[str]``, comma-separated ``Tuple[str, ...]``) reads as text.
+_PARSERS = {bool: env_bool, int: env_int, float: env_float}
+
+
+@functools.lru_cache(maxsize=None)
+def _knobs(cls) -> Tuple[Tuple[str, str, Callable, object], ...]:
+    """``(field, variable, parser, default)`` per field of ``cls``.
+
+    Resolving string annotations costs far more than reading the
+    environment, so it happens once per class.
+    """
+    hints = typing.get_type_hints(cls)
+    knobs = []
+    for spec in dataclasses.fields(cls):
+        parse = _PARSERS.get(hints[spec.name])
+        if parse is None:
+            parse = functools.partial(
+                env_str, choices=spec.metadata.get("choices")
+            )
+        var = cls.env_prefix + spec.metadata.get("env", spec.name.upper())
+        knobs.append((spec.name, var, parse, spec.default))
+    return tuple(knobs)
+
+
+class EnvConfig:
+    """Mixin giving a config dataclass its ``REPRO_*`` reader.
+
+    Subclasses set :attr:`env_prefix`; a field's ``metadata`` may carry
+    ``env`` (the variable suffix, when it is not the upper-cased field
+    name) and ``choices`` (the accepted text values).
+    """
+
+    env_prefix: ClassVar[str]
+
+    @classmethod
+    def env_var(cls, name: str) -> str:
+        """The environment variable of field ``name``."""
+        return {field: var for field, var, _, _ in _knobs(cls)}[name]
+
+    @classmethod
+    def from_env(cls, **overrides):
+        """Build from the environment with non-``None`` ``overrides`` on top.
+
+        ``None`` overrides are ignored (unset CLI flags), so callers can
+        forward every flag verbatim; an unknown name raises ``TypeError``.
+        """
+        knobs = _knobs(cls)
+        unknown = set(overrides) - {name for name, _, _, _ in knobs}
+        if unknown:
+            raise TypeError(
+                f"unknown {cls.__name__} knob(s): {', '.join(sorted(unknown))}"
+            )
+        values = {}
+        for name, var, parse, default in knobs:
+            override = overrides.get(name)
+            values[name] = parse(var, default) if override is None else override
+        return cls(**values)
+
+    @classmethod
+    def provenance(cls, **overrides) -> Sequence[Tuple[str, object, str]]:
+        """``(knob, resolved value, source)`` rows, in field order.
+
+        The source is ``cli`` for a non-``None`` override, ``env:<VAR>``
+        for a set variable, else ``default``; tuple values print as
+        comma-separated text (the spelling their variable takes).
+        """
+        resolved = cls.from_env(**overrides)
+        rows = []
+        for name, var, _, _ in _knobs(cls):
+            if overrides.get(name) is not None:
+                source = "cli"
+            elif _raw(var) is not None:
+                source = f"env:{var}"
+            else:
+                source = "default"
+            value = getattr(resolved, name)
+            if isinstance(value, tuple):
+                value = ",".join(value)
+            rows.append((name, value, source))
+        return rows

@@ -82,11 +82,10 @@ class ElasticityManager:
         ``engine_hosts`` is the initial managed host set (at least one);
         the manager owns membership from here on — provisioning into and
         releasing from ``cloud`` as the enforcer decides.  ``policy``
-        defaults to the hub's configured policy group
-        (``hub.config.policy``, the ``REPRO_POLICY_*`` knobs) when the
-        hub carries one, else to the paper's policy; ``enforcer`` and
-        ``coord`` default to the two-step enforcer sized to the
-        provider's host spec and a fresh coordination kernel.
+        defaults to the hub's policy group (``hub.config.policy``, the
+        ``REPRO_POLICY_*`` knobs); ``enforcer`` and ``coord`` default to
+        the two-step enforcer sized to the provider's host spec and a
+        fresh coordination kernel.
         ``probe_interval_s`` is the heartbeat period (paper: 5 s).  The
         hub's telemetry bundle, when present, is inherited and threaded
         into the collector, the signal stack and the enforcer.
@@ -94,14 +93,7 @@ class ElasticityManager:
         self.hub = hub
         self.cloud = cloud
         self.env: Environment = hub.env
-        if policy is None:
-            policy_group = getattr(getattr(hub, "config", None), "policy", None)
-            policy = (
-                policy_group.policy()
-                if policy_group is not None
-                else ElasticityPolicy()
-            )
-        self.policy = policy
+        self.policy = policy if policy is not None else hub.config.policy
         #: Telemetry bundle inherited from the hub (``None`` when the hub
         #: runs without one); threaded into the collector and enforcer.
         self.telemetry = getattr(hub, "telemetry", None)

@@ -30,15 +30,14 @@ CPU-only rules.  Arbitration across signals is deterministic; see
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
-from typing import Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Tuple
 
-from ..config import env_bool, env_float, env_int, env_str
+from ..config import EnvConfig
 from .probes import ProbeSet
 
 __all__ = [
     "ElasticityPolicy",
-    "PolicyConfig",
     "ScalingAction",
     "Violation",
     "ViolationKind",
@@ -152,9 +151,23 @@ def _normalize_signals(value) -> Tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class ElasticityPolicy:
-    """Thresholds of the policy signals (paper §V plus SLO/spill)."""
+class ElasticityPolicy(EnvConfig):
+    """Thresholds of the policy signals (paper §V plus SLO/spill).
 
+    The elasticity knob group: :meth:`from_env` reads every field from
+    ``REPRO_POLICY_<FIELD>`` (``backlog_aware_scaling`` from
+    ``REPRO_POLICY_BACKLOG_AWARE``) under explicit overrides, and
+    :meth:`provenance` records where each resolved value came from — the
+    table the ``repro policy`` subcommand prints.
+    """
+
+    env_prefix = "REPRO_POLICY_"
+
+    #: Enabled policy signals, in stack (arbitration) order.  ``cpu`` is
+    #: the paper's global/local band rules; ``slo`` triggers on windowed
+    #: p99 notification delay; ``spill`` on sustained transport
+    #: spill/starvation pressure.  The default reproduces the paper.
+    signals: Tuple[str, ...] = ("cpu",)
     #: Utilization the enforcer packs hosts toward (the paper's 50%).
     target_utilization: float = 0.50
     #: Global rule: scale out when the average utilization exceeds this.
@@ -174,17 +187,14 @@ class ElasticityPolicy:
     #: step per grace period during steep load ramps while queues explode.
     #: Extension over the paper's CPU-only metric; set False for the
     #: paper's literal behavior (ablated in benchmarks).
-    backlog_aware_scaling: bool = True
+    backlog_aware_scaling: bool = field(
+        default=True, metadata={"env": "BACKLOG_AWARE"}
+    )
     #: Upper bound on one scale-out step: the fleet may at most grow by
     #: this factor per decision (backlog-driven demand estimates can be
     #: arbitrarily large while a backlog is draining; unbounded steps
     #: would exhaust the provider).
     max_scale_out_factor: float = 4.0
-    #: Enabled policy signals, in stack (arbitration) order.  ``cpu`` is
-    #: the paper's global/local band rules; ``slo`` triggers on windowed
-    #: p99 notification delay; ``spill`` on sustained transport
-    #: spill/starvation pressure.  The default reproduces the paper.
-    signals: Tuple[str, ...] = ("cpu",)
     #: Target p99 notification delay (seconds) of the ``slo`` signal.
     slo_p99_s: float = 1.0
     #: Sliding window (seconds) the p99 is computed over.
@@ -325,170 +335,3 @@ class ElasticityPolicy:
 
         found = CpuBandSignal(self).evaluate(probes)
         return found[0] if found else None
-
-
-#: ``PolicyConfig`` field → environment variable, in display order.
-_POLICY_ENV_VARS = {
-    "signals": "REPRO_POLICY_SIGNALS",
-    "target_utilization": "REPRO_POLICY_TARGET_UTILIZATION",
-    "scale_out_threshold": "REPRO_POLICY_SCALE_OUT_THRESHOLD",
-    "scale_in_threshold": "REPRO_POLICY_SCALE_IN_THRESHOLD",
-    "local_overload_threshold": "REPRO_POLICY_LOCAL_OVERLOAD_THRESHOLD",
-    "grace_period_s": "REPRO_POLICY_GRACE_PERIOD_S",
-    "min_hosts": "REPRO_POLICY_MIN_HOSTS",
-    "backlog_aware_scaling": "REPRO_POLICY_BACKLOG_AWARE",
-    "max_scale_out_factor": "REPRO_POLICY_MAX_SCALE_OUT_FACTOR",
-    "slo_p99_s": "REPRO_POLICY_SLO_P99_S",
-    "slo_window_s": "REPRO_POLICY_SLO_WINDOW_S",
-    "slo_min_samples": "REPRO_POLICY_SLO_MIN_SAMPLES",
-    "slo_sustain_rounds": "REPRO_POLICY_SLO_SUSTAIN_ROUNDS",
-    "slo_release_fraction": "REPRO_POLICY_SLO_RELEASE_FRACTION",
-    "slo_veto_max_rounds": "REPRO_POLICY_SLO_VETO_MAX_ROUNDS",
-    "spill_depth_limit": "REPRO_POLICY_SPILL_DEPTH_LIMIT",
-    "spill_starved_limit": "REPRO_POLICY_SPILL_STARVED_LIMIT",
-    "spill_sustain_rounds": "REPRO_POLICY_SPILL_SUSTAIN_ROUNDS",
-    "spill_hold_rounds": "REPRO_POLICY_SPILL_HOLD_ROUNDS",
-    "symptom_target_fraction": "REPRO_POLICY_SYMPTOM_TARGET_FRACTION",
-}
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    """The elasticity-policy knob group (``REPRO_POLICY_*``).
-
-    One of :class:`~repro.pubsub.HubConfig`'s grouped sub-configs.  The
-    precedence is defined here, once: an explicit constructor argument
-    (CLI flags resolve to these via :meth:`from_env` overrides) beats the
-    environment variable, which beats the built-in default.  Field names
-    and defaults mirror :class:`ElasticityPolicy`; :meth:`policy` builds
-    the validated policy object.
-    """
-
-    signals: Tuple[str, ...] = ("cpu",)
-    target_utilization: float = 0.50
-    scale_out_threshold: float = 0.70
-    scale_in_threshold: float = 0.30
-    local_overload_threshold: float = 0.85
-    grace_period_s: float = 30.0
-    min_hosts: int = 1
-    backlog_aware_scaling: bool = True
-    max_scale_out_factor: float = 4.0
-    slo_p99_s: float = 1.0
-    slo_window_s: float = 30.0
-    slo_min_samples: int = 20
-    slo_sustain_rounds: int = 1
-    slo_release_fraction: float = 0.5
-    slo_veto_max_rounds: int = 12
-    spill_depth_limit: int = 50
-    spill_starved_limit: int = 1
-    spill_sustain_rounds: int = 2
-    spill_hold_rounds: int = 3
-    symptom_target_fraction: float = 0.75
-
-    def __post_init__(self):
-        object.__setattr__(self, "signals", _normalize_signals(self.signals))
-        self.policy()  # validate every knob through the policy rules
-
-    def policy(self) -> ElasticityPolicy:
-        """The :class:`ElasticityPolicy` these knobs configure."""
-        return ElasticityPolicy(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "PolicyConfig":
-        """Build from ``REPRO_POLICY_*`` with explicit ``overrides`` on top.
-
-        ``overrides`` with value ``None`` are ignored (unset CLI flags),
-        so callers can forward an argparse namespace verbatim.
-        """
-        values = {
-            "signals": env_str(_POLICY_ENV_VARS["signals"], "cpu"),
-            "target_utilization": env_float(
-                _POLICY_ENV_VARS["target_utilization"], cls.target_utilization
-            ),
-            "scale_out_threshold": env_float(
-                _POLICY_ENV_VARS["scale_out_threshold"], cls.scale_out_threshold
-            ),
-            "scale_in_threshold": env_float(
-                _POLICY_ENV_VARS["scale_in_threshold"], cls.scale_in_threshold
-            ),
-            "local_overload_threshold": env_float(
-                _POLICY_ENV_VARS["local_overload_threshold"],
-                cls.local_overload_threshold,
-            ),
-            "grace_period_s": env_float(
-                _POLICY_ENV_VARS["grace_period_s"], cls.grace_period_s
-            ),
-            "min_hosts": env_int(_POLICY_ENV_VARS["min_hosts"], cls.min_hosts),
-            "backlog_aware_scaling": env_bool(
-                _POLICY_ENV_VARS["backlog_aware_scaling"],
-                cls.backlog_aware_scaling,
-            ),
-            "max_scale_out_factor": env_float(
-                _POLICY_ENV_VARS["max_scale_out_factor"], cls.max_scale_out_factor
-            ),
-            "slo_p99_s": env_float(_POLICY_ENV_VARS["slo_p99_s"], cls.slo_p99_s),
-            "slo_window_s": env_float(
-                _POLICY_ENV_VARS["slo_window_s"], cls.slo_window_s
-            ),
-            "slo_min_samples": env_int(
-                _POLICY_ENV_VARS["slo_min_samples"], cls.slo_min_samples
-            ),
-            "slo_sustain_rounds": env_int(
-                _POLICY_ENV_VARS["slo_sustain_rounds"], cls.slo_sustain_rounds
-            ),
-            "slo_release_fraction": env_float(
-                _POLICY_ENV_VARS["slo_release_fraction"], cls.slo_release_fraction
-            ),
-            "slo_veto_max_rounds": env_int(
-                _POLICY_ENV_VARS["slo_veto_max_rounds"], cls.slo_veto_max_rounds
-            ),
-            "spill_depth_limit": env_int(
-                _POLICY_ENV_VARS["spill_depth_limit"], cls.spill_depth_limit
-            ),
-            "spill_starved_limit": env_int(
-                _POLICY_ENV_VARS["spill_starved_limit"], cls.spill_starved_limit
-            ),
-            "spill_sustain_rounds": env_int(
-                _POLICY_ENV_VARS["spill_sustain_rounds"], cls.spill_sustain_rounds
-            ),
-            "spill_hold_rounds": env_int(
-                _POLICY_ENV_VARS["spill_hold_rounds"], cls.spill_hold_rounds
-            ),
-            "symptom_target_fraction": env_float(
-                _POLICY_ENV_VARS["symptom_target_fraction"],
-                cls.symptom_target_fraction,
-            ),
-        }
-        for name, value in overrides.items():
-            if name not in values:
-                raise TypeError(f"unknown policy knob {name!r}")
-            if value is not None:
-                values[name] = value
-        return cls(**values)
-
-    @classmethod
-    def provenance(cls, **overrides) -> Sequence[Tuple[str, object, str]]:
-        """(knob, resolved value, source) rows for every policy knob.
-
-        The source is ``cli`` for a non-``None`` override, ``env:<VAR>``
-        for a set environment variable, else ``default`` — the record the
-        ``repro policy`` subcommand prints.
-        """
-        import os
-
-        resolved = cls.from_env(**overrides)
-        rows = []
-        for name, env_var in _POLICY_ENV_VARS.items():
-            if overrides.get(name) is not None:
-                source = "cli"
-            elif (os.environ.get(env_var) or "").strip():
-                source = f"env:{env_var}"
-            else:
-                source = "default"
-            value = getattr(resolved, name)
-            if name == "signals":
-                value = ",".join(value)
-            rows.append((name, value, source))
-        return rows

@@ -36,28 +36,15 @@ class ExperimentSetup:
     max_hosts: int = 30
     provisioning_delay_s: float = 2.0
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Per-sender channel flush interval (StreamMine3G micro-batching);
-    #: dominates the steady-state notification delay (DESIGN.md §5).
-    #: Plumbs into ``HubConfig.net_flush_s`` — the hub configuration is
-    #: the single source of truth for transport knobs, and the deployment
-    #: builds the fabric from it.
-    batch_flush_s: float = 0.10
-    #: Channel flush policy (DESIGN.md §9).  ``None`` derives the
-    #: pre-transport behaviour from ``batch_flush_s``: ``fixed`` fabric
-    #: epochs when positive, ``eager`` when zero.  Set ``adaptive`` for
-    #: per-channel latency-bounded flush with ``batch_flush_s`` as the
-    #: delay budget.
-    flush_mode: Optional[str] = None
-    #: Credit-based backpressure on every transport channel.  Defaults
-    #: from ``REPRO_NET_BACKPRESSURE`` so the environment flips the
-    #: experiments too.
-    backpressure: bool = field(
-        default_factory=lambda: TransportConfig.from_env().backpressure
-    )
-    #: Send credits per channel when backpressure is on.  From
-    #: ``REPRO_NET_CREDIT_WINDOW``.
-    credit_window: int = field(
-        default_factory=lambda: TransportConfig.from_env().credit_window
+    #: Event-plane transport of the deployed hub.  The experiments run
+    #: ``fixed`` fabric flush epochs of 0.1 s (StreamMine3G-style
+    #: per-sender micro-batching), which dominate the steady-state
+    #: notification delay (DESIGN.md §5); the other transport knobs —
+    #: backpressure and credit window included — come from ``REPRO_NET_*``.
+    net: TransportConfig = field(
+        default_factory=lambda: TransportConfig.from_env(
+            flush_mode="fixed", flush_s=0.10
+        )
     )
     seed: int = 1
     #: Optional :class:`repro.telemetry.Telemetry` bundle; when set, every
@@ -65,9 +52,6 @@ class ExperimentSetup:
     telemetry: Optional[object] = None
 
     def hub_config(self) -> HubConfig:
-        flush_mode = self.flush_mode
-        if flush_mode is None:
-            flush_mode = "fixed" if self.batch_flush_s > 0.0 else "eager"
         return HubConfig.sampled(
             self.matching_rate,
             ap_slices=self.ap_slices,
@@ -77,10 +61,7 @@ class ExperimentSetup:
             parallelism=self.parallelism,
             cost_model=self.cost_model,
             telemetry=self.telemetry,
-            net_flush_mode=flush_mode,
-            net_flush_s=self.batch_flush_s,
-            net_backpressure=self.backpressure,
-            net_credit_window=self.credit_window,
+            net=self.net,
         )
 
 

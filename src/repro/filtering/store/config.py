@@ -6,25 +6,23 @@ rows, held in RAM, or — when ``memory_budget_mb > 0`` — persisted
 through ``numpy.memmap`` with an LRU-bounded resident set, so one M-slice
 can serve subscription partitions far larger than its memory budget.
 
-Defaults come from the ``REPRO_STORE_*`` environment variables so an
-existing deployment or test run changes the store without code changes —
-the same convention as the ``REPRO_MATCH_*`` parallel-matching knobs.
+:meth:`StoreConfig.from_env` reads the ``REPRO_STORE_*`` environment
+variables so an existing deployment or test run changes the store without
+code changes — the same convention as every other knob group.
 """
 
 from __future__ import annotations
 
-import os
-
 from dataclasses import dataclass
 from typing import Optional
 
-from ...config import env_float, env_int
+from ...config import EnvConfig
 
 __all__ = ["StoreConfig"]
 
 
 @dataclass(frozen=True)
-class StoreConfig:
+class StoreConfig(EnvConfig):
     """Validated knobs of the packed-row backing store.
 
     ``chunk_rows``
@@ -47,6 +45,8 @@ class StoreConfig:
         temporary directory).  Each store creates — and removes on
         garbage collection — its own subdirectory.
     """
+
+    env_prefix = "REPRO_STORE_"
 
     chunk_rows: int = 65536
     memory_budget_mb: float = 0.0
@@ -77,13 +77,3 @@ class StoreConfig:
     @property
     def memory_budget_bytes(self) -> int:
         return int(self.memory_budget_mb * 1024 * 1024)
-
-    @classmethod
-    def from_env(cls) -> "StoreConfig":
-        """Build from ``REPRO_STORE_*`` (unset variables keep defaults)."""
-        return cls(
-            chunk_rows=env_int("REPRO_STORE_CHUNK_ROWS", 65536),
-            memory_budget_mb=env_float("REPRO_STORE_MEMORY_BUDGET_MB", 0.0),
-            compact_dead_ratio=env_float("REPRO_STORE_COMPACT_DEAD_RATIO", 0.5),
-            spill_dir=os.environ.get("REPRO_STORE_SPILL_DIR") or None,
-        )

@@ -11,8 +11,8 @@ batch's already-scheduled virtual completion time.  Serial and parallel
 runs therefore produce byte-identical notifications and CPU accounting;
 only wall-clock time changes.
 
-Select a backend through ``HubConfig(match_workers=..., match_backend=
-...)`` or the ``REPRO_MATCH_WORKERS`` / ``REPRO_MATCH_BACKEND``
+Select a backend through ``HubConfig(match=MatchConfig(workers=...,
+backend=...))`` or the ``REPRO_MATCH_WORKERS`` / ``REPRO_MATCH_BACKEND``
 environment variables; DESIGN.md ("Parallel matching execution")
 documents the epoch/delta protocol and the determinism argument, and
 OBSERVABILITY.md the worker-pool metric families.

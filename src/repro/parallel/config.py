@@ -2,23 +2,24 @@
 
 One of :class:`~repro.pubsub.HubConfig`'s grouped sub-configs: workers,
 execution backend and chunking of the worker-pool ``match_batch`` path.
-Validation messages intentionally name the historical flat knobs
-(``match_workers`` etc.) — the flat ``HubConfig`` fields remain as
-backward-compatible aliases of this group.
+Validation messages name each knob as ``match_<field>`` — the stem of its
+``REPRO_MATCH_<FIELD>`` variable and its ``--match-<field>`` CLI flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import env_int, env_str
+from ..config import EnvConfig
 
 __all__ = ["MatchConfig"]
 
 
 @dataclass(frozen=True)
-class MatchConfig:
+class MatchConfig(EnvConfig):
     """Validated parallel-matching configuration."""
+
+    env_prefix = "REPRO_MATCH_"
 
     #: Worker processes for parallel matching execution (0 = inline).
     workers: int = 0
@@ -45,12 +46,3 @@ class MatchConfig:
                 f"match_backend must be one of {BACKENDS}, "
                 f"got {self.backend!r}"
             )
-
-    @classmethod
-    def from_env(cls) -> "MatchConfig":
-        """Build from ``REPRO_MATCH_*`` (unset keeps the defaults)."""
-        return cls(
-            workers=env_int("REPRO_MATCH_WORKERS", 0),
-            backend=env_str("REPRO_MATCH_BACKEND", "auto"),
-            chunk_rows=env_int("REPRO_MATCH_CHUNK_ROWS", 4096),
-        )

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..cluster import Host, Network
-from ..config import env_int, env_str
+from ..elastic.policy import ElasticityPolicy
 from ..engine import EngineRuntime, MigrationCosts
 from ..filtering import CostModel, MatchingBackend, SampledBackend, StoreConfig
 from ..metrics import DelaySample, DelayTracker
+from ..parallel.config import MatchConfig
 from ..sim import Environment
 from ..telemetry import Telemetry
 from ..transport import TransportConfig
@@ -33,26 +34,6 @@ from .operators import (
 __all__ = ["HubConfig", "StreamHub"]
 
 
-def _default_match_workers() -> int:
-    return env_int("REPRO_MATCH_WORKERS", 0)
-
-
-def _default_match_backend() -> str:
-    return env_str("REPRO_MATCH_BACKEND", "auto")
-
-
-def _default_match_chunk_rows() -> int:
-    return env_int("REPRO_MATCH_CHUNK_ROWS", 4096)
-
-
-def _env_store_config() -> StoreConfig:
-    return StoreConfig.from_env()
-
-
-def _env_transport_config() -> TransportConfig:
-    return TransportConfig.from_env()
-
-
 @dataclass
 class HubConfig:
     """Static configuration of a STREAMHUB deployment.
@@ -61,15 +42,11 @@ class HubConfig:
     slices (§VI-A), encrypted (ASPE-cost) filtering, slice thread pools
     sized to the 8-core hosts.
 
-    Knobs are organized into grouped sub-configs — :attr:`match`
+    Engine knobs live in one config object per layer — :attr:`match`
     (``REPRO_MATCH_*``), :attr:`store` (``REPRO_STORE_*``), :attr:`net`
-    (``REPRO_NET_*``) and :attr:`policy` (``REPRO_POLICY_*``) — each
-    defining its env/constructor precedence in one place.  The historical
-    flat fields (``match_workers``, ``store_chunk_rows``, ``net_flush_mode``,
-    …) remain as backward-compatible aliases: pass either form; an
-    explicitly passed group wins over flat kwargs, and after construction
-    the flat fields always mirror the resolved group.  The flat spellings
-    are **deprecated** for new code — prefer the groups.
+    (``REPRO_NET_*``) and :attr:`policy` (``REPRO_POLICY_*``).  Each
+    group defaults to its ``from_env()``; pass ``Group.from_env(knob=...)``
+    to override single knobs while the environment fills the rest.
     """
 
     ap_slices: int = 8
@@ -98,88 +75,21 @@ class HubConfig:
     #: layer records into the same tracer/registry (see OBSERVABILITY.md).
     #: ``None`` (the default) keeps all hot paths on their no-op branch.
     telemetry: Optional["Telemetry"] = None
-    #: Worker processes for parallel matching execution (0 = inline, the
-    #: default).  Defaults from ``REPRO_MATCH_WORKERS`` so an existing
-    #: deployment/test run flips to parallel without code changes.  Only
-    #: engages for backends whose library speaks the packed protocol
-    #: (``ExactBackend`` over ``AspeLibrary``); other backends stay inline.
-    match_workers: int = field(default_factory=_default_match_workers)
-    #: Execution backend: ``auto`` (shm where available, else pool),
-    #: ``shm``, ``pool`` or ``inline``.  From ``REPRO_MATCH_BACKEND``.
-    match_backend: str = field(default_factory=_default_match_backend)
-    #: Minimum packed-matrix rows per worker chunk — keeps small matrices
-    #: from being shredded into per-task overhead.  From
-    #: ``REPRO_MATCH_CHUNK_ROWS``.
-    match_chunk_rows: int = field(default_factory=_default_match_chunk_rows)
     #: Injected :class:`repro.parallel.MatchExecutor` instance (tests and
-    #: benchmarks).  When ``None`` and ``match_workers > 0`` the hub uses
+    #: benchmarks).  When ``None`` and ``match.workers > 0`` the hub uses
     #: the process-wide shared executor for its knobs.
     match_executor: Optional[object] = None
+    #: Parallel-matching knob group: workers, execution backend and
+    #: chunking of the worker-pool ``match_batch`` path (DESIGN.md §7).
+    match: MatchConfig = field(default_factory=MatchConfig.from_env)
     #: Packed-row store of exact (ASPE) M-slice libraries (sampled
-    #: backends ignore it; see DESIGN.md §8).  Maximum rows per store
-    #: chunk.  From ``REPRO_STORE_CHUNK_ROWS``.
-    store_chunk_rows: int = field(
-        default_factory=lambda: _env_store_config().chunk_rows
-    )
-    #: Resident-set budget per library in MiB: any positive budget spills
-    #: chunks to memory-mapped files (0 = every chunk stays in RAM).  From
-    #: ``REPRO_STORE_MEMORY_BUDGET_MB``.
-    store_memory_budget_mb: float = field(
-        default_factory=lambda: _env_store_config().memory_budget_mb
-    )
-    #: Compact a library once dead rows exceed this fraction of the store
-    #: (0 < ratio ≤ 1; 1 disables compaction).  From
-    #: ``REPRO_STORE_COMPACT_DEAD_RATIO``.
-    store_compact_dead_ratio: float = field(
-        default_factory=lambda: _env_store_config().compact_dead_ratio
-    )
-    #: Directory for spilled chunk files (``None`` = a per-store temp dir).
-    #: From ``REPRO_STORE_SPILL_DIR``.
-    store_spill_dir: Optional[str] = field(
-        default_factory=lambda: _env_store_config().spill_dir
-    )
-    #: Channel flush policy of the event-plane transport: ``eager`` (the
-    #: default: hand emissions straight to the fabric), ``fixed`` (fabric
-    #: flush epochs every ``net_flush_s``, the experiments' pre-transport
-    #: micro-batching) or ``adaptive`` (per-channel latency-bounded flush:
-    #: batch-full or ``net_flush_s`` delay budget, whichever first).  From
-    #: ``REPRO_NET_FLUSH_MODE``.  See DESIGN.md §9.
-    net_flush_mode: str = field(
-        default_factory=lambda: _env_transport_config().flush_mode
-    )
-    #: Flush epoch (``fixed``) / per-channel delay budget (``adaptive``)
-    #: in simulated seconds.  From ``REPRO_NET_FLUSH_S``.
-    net_flush_s: float = field(
-        default_factory=lambda: _env_transport_config().flush_s
-    )
-    #: Pending messages that force an adaptive channel to flush.  From
-    #: ``REPRO_NET_FLUSH_MAX_BATCH``.
-    net_flush_max_batch: int = field(
-        default_factory=lambda: _env_transport_config().flush_max_batch
-    )
-    #: Credit-based backpressure: bounded receiver inboxes, credits
-    #: granted back on consumption, senders shed to a spill queue when
-    #: out of credits.  From ``REPRO_NET_BACKPRESSURE``.
-    net_backpressure: bool = field(
-        default_factory=lambda: _env_transport_config().backpressure
-    )
-    #: Send credits per channel.  From ``REPRO_NET_CREDIT_WINDOW``.
-    net_credit_window: int = field(
-        default_factory=lambda: _env_transport_config().credit_window
-    )
-    #: Parallel-matching knob group; built from the flat ``match_*``
-    #: fields (and thus ``REPRO_MATCH_*``) when not passed explicitly.
-    match: Optional["MatchConfig"] = None
-    #: Packed-row store knob group; built from the flat ``store_*``
-    #: fields (``REPRO_STORE_*``) when not passed explicitly.
-    store: Optional[StoreConfig] = None
-    #: Transport knob group; built from the flat ``net_*`` fields
-    #: (``REPRO_NET_*``) when not passed explicitly.
-    net: Optional[TransportConfig] = None
-    #: Elasticity-policy knob group (``REPRO_POLICY_*``); the default
-    #: policy of managers driving this hub.  Has no flat aliases — it is
-    #: new with the signal-driven policy API.
-    policy: Optional["PolicyConfig"] = None
+    #: backends ignore it; DESIGN.md §8).
+    store: StoreConfig = field(default_factory=StoreConfig.from_env)
+    #: Event-plane transport: flush policy and credit backpressure
+    #: (DESIGN.md §9).
+    net: TransportConfig = field(default_factory=TransportConfig.from_env)
+    #: Elasticity policy of managers driving this hub (DESIGN.md §10).
+    policy: ElasticityPolicy = field(default_factory=ElasticityPolicy.from_env)
 
     def __post_init__(self):
         if min(self.ap_slices, self.m_slices, self.ep_slices, self.sink_slices) <= 0:
@@ -190,64 +100,6 @@ class HubConfig:
             raise ValueError("ap_batch_limit must be positive")
         if self.ep_batch_limit <= 0:
             raise ValueError("ep_batch_limit must be positive")
-        from ..elastic.policy import PolicyConfig
-        from ..parallel.config import MatchConfig
-
-        # Fold groups and flat aliases together: an explicit group wins
-        # and is mirrored back into the flat fields; otherwise the group
-        # is built (and validated) from the flat values.
-        if self.match is None:
-            self.match = MatchConfig(
-                workers=self.match_workers,
-                backend=self.match_backend,
-                chunk_rows=self.match_chunk_rows,
-            )
-        else:
-            self.match_workers = self.match.workers
-            self.match_backend = self.match.backend
-            self.match_chunk_rows = self.match.chunk_rows
-        if self.store is None:
-            self.store = StoreConfig(
-                chunk_rows=self.store_chunk_rows,
-                memory_budget_mb=self.store_memory_budget_mb,
-                compact_dead_ratio=self.store_compact_dead_ratio,
-                spill_dir=self.store_spill_dir,
-            )
-        else:
-            self.store_chunk_rows = self.store.chunk_rows
-            self.store_memory_budget_mb = self.store.memory_budget_mb
-            self.store_compact_dead_ratio = self.store.compact_dead_ratio
-            self.store_spill_dir = self.store.spill_dir
-        if self.net is None:
-            self.net = TransportConfig(
-                flush_mode=self.net_flush_mode,
-                flush_s=self.net_flush_s,
-                flush_max_batch=self.net_flush_max_batch,
-                backpressure=self.net_backpressure,
-                credit_window=self.net_credit_window,
-            )
-        else:
-            self.net_flush_mode = self.net.flush_mode
-            self.net_flush_s = self.net.flush_s
-            self.net_flush_max_batch = self.net.flush_max_batch
-            self.net_backpressure = self.net.backpressure
-            self.net_credit_window = self.net.credit_window
-        if self.policy is None:
-            self.policy = PolicyConfig.from_env()
-
-    def transport_config(self) -> TransportConfig:
-        """The flow-control configuration of the event-plane transport.
-
-        Deprecated alias: identical to reading :attr:`net` directly.
-        """
-        return self.net
-
-    def store_config(self) -> StoreConfig:
-        """The packed-row store configuration for exact M-slice libraries.
-
-        Deprecated alias: identical to reading :attr:`store` directly.
-        """
-        return self.store
 
     @classmethod
     def sampled(cls, matching_rate: float = 0.01, **kwargs) -> "HubConfig":
@@ -290,7 +142,7 @@ class StreamHub:
             env,
             network,
             migration_costs=config.migration_costs(),
-            transport_config=config.transport_config(),
+            transport_config=config.net,
         )
         #: The bound telemetry bundle (``config.telemetry``), or ``None``.
         self.telemetry = config.telemetry
@@ -308,13 +160,13 @@ class StreamHub:
         self.match_executor = None
         if config.match_executor is not None:
             self.match_executor = config.match_executor
-        elif config.match_workers > 0:
+        elif config.match.workers > 0:
             from ..parallel import shared_executor
 
             self.match_executor = shared_executor(
-                config.match_workers,
-                config.match_backend,
-                config.match_chunk_rows,
+                config.match.workers,
+                config.match.backend,
+                config.match.chunk_rows,
             )
         if self.match_executor is not None and self.telemetry is not None:
             self.match_executor.bind_telemetry(self.telemetry)
@@ -345,7 +197,6 @@ class StreamHub:
             parallelism=config.parallelism,
             replay_dedup=False,
         )
-        store_config = config.store_config()
         self.runtime.add_operator(
             self.M,
             config.m_slices,
@@ -357,7 +208,7 @@ class StreamHub:
                 exit_operator=self.EP,
                 batch_limit=config.matcher_batch_limit,
                 executor=self.match_executor,
-                store_config=store_config,
+                store_config=config.store,
             ),
             parallelism=config.parallelism,
             replay_dedup=False,

@@ -26,17 +26,17 @@ and pace the event plane on top of the raw network fabric
     ``credit_window`` per inbound channel and overload propagates
     upstream as spill/delay instead of unbounded memory.
 
-Defaults come from the ``REPRO_NET_*`` environment variables (via the
-shared :mod:`repro.config` helpers) so an existing deployment or test run
-flips transport behaviour without code changes — the same convention as
-``REPRO_MATCH_*`` and ``REPRO_STORE_*``.
+:meth:`TransportConfig.from_env` reads the ``REPRO_NET_*`` environment
+variables (through the shared :class:`repro.config.EnvConfig` reader) so an
+existing deployment or test run flips transport behaviour without code
+changes — the same convention as ``REPRO_MATCH_*`` and ``REPRO_STORE_*``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ..config import env_bool, env_float, env_int, env_str
+from ..config import EnvConfig
 
 __all__ = ["FLUSH_MODES", "TransportConfig"]
 
@@ -45,10 +45,12 @@ FLUSH_MODES = ("eager", "fixed", "adaptive")
 
 
 @dataclass(frozen=True)
-class TransportConfig:
+class TransportConfig(EnvConfig):
     """Validated knobs of the flow-controlled transport layer."""
 
-    flush_mode: str = "eager"
+    env_prefix = "REPRO_NET_"
+
+    flush_mode: str = field(default="eager", metadata={"choices": FLUSH_MODES})
     #: Delay budget (``adaptive``) or fabric flush epoch (``fixed``), in
     #: simulated seconds.  Ignored by ``eager``.
     flush_s: float = 0.0
@@ -92,16 +94,4 @@ class TransportConfig:
         """True when channels accumulate before flushing (adaptive mode)."""
         return self.flush_mode == "adaptive" and (
             self.flush_s > 0.0 or self.flush_max_batch > 1
-        )
-
-    @classmethod
-    def from_env(cls) -> "TransportConfig":
-        """Build from ``REPRO_NET_*`` (unset variables keep defaults)."""
-        return cls(
-            flush_mode=env_str("REPRO_NET_FLUSH_MODE", "eager", FLUSH_MODES),
-            flush_s=env_float("REPRO_NET_FLUSH_S", 0.0),
-            flush_max_batch=env_int("REPRO_NET_FLUSH_MAX_BATCH", 64),
-            backpressure=env_bool("REPRO_NET_BACKPRESSURE", False),
-            credit_window=env_int("REPRO_NET_CREDIT_WINDOW", 256),
-            breaker_probe_s=env_float("REPRO_NET_BREAKER_PROBE_S", 0.5),
         )

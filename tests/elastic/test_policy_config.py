@@ -1,9 +1,10 @@
-"""PolicyConfig: env knobs, CLI override precedence, provenance."""
+"""ElasticityPolicy.from_env: env knobs, CLI override precedence, provenance."""
+
+import dataclasses
 
 import pytest
 
-from repro.elastic import ElasticityPolicy, PolicyConfig
-from repro.elastic.policy import _POLICY_ENV_VARS
+from repro.elastic import ElasticityPolicy
 from repro.pubsub import HubConfig
 
 #: Every knob with an env var, a non-default raw string, and the value
@@ -33,72 +34,83 @@ ENV_CASES = [
 
 
 def test_env_case_table_covers_every_knob():
-    assert {name for name, _, _ in ENV_CASES} == set(_POLICY_ENV_VARS)
+    assert {name for name, _, _ in ENV_CASES} == {
+        spec.name for spec in dataclasses.fields(ElasticityPolicy)
+    }
 
 
 @pytest.mark.parametrize("knob,raw,expected", ENV_CASES)
 def test_every_env_knob_is_read(monkeypatch, knob, raw, expected):
-    monkeypatch.setenv(_POLICY_ENV_VARS[knob], raw)
-    assert getattr(PolicyConfig.from_env(), knob) == expected
+    monkeypatch.setenv(ElasticityPolicy.env_var(knob), raw)
+    assert getattr(ElasticityPolicy.from_env(), knob) == expected
 
 
 @pytest.mark.parametrize("knob,raw,expected", ENV_CASES)
 def test_unset_env_keeps_the_default(monkeypatch, knob, raw, expected):
-    monkeypatch.delenv(_POLICY_ENV_VARS[knob], raising=False)
-    assert getattr(PolicyConfig.from_env(), knob) == getattr(
-        PolicyConfig, knob
+    monkeypatch.delenv(ElasticityPolicy.env_var(knob), raising=False)
+    assert getattr(ElasticityPolicy.from_env(), knob) == getattr(
+        ElasticityPolicy(), knob
     )
 
 
 def test_cli_override_beats_env(monkeypatch):
     monkeypatch.setenv("REPRO_POLICY_SLO_P99_S", "2.0")
     monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,slo")
-    config = PolicyConfig.from_env(slo_p99_s=0.5, signals="cpu,spill")
+    config = ElasticityPolicy.from_env(slo_p99_s=0.5, signals="cpu,spill")
     assert config.slo_p99_s == 0.5
     assert config.signals == ("cpu", "spill")
 
 
 def test_none_override_falls_through_to_env(monkeypatch):
     monkeypatch.setenv("REPRO_POLICY_MIN_HOSTS", "3")
-    assert PolicyConfig.from_env(min_hosts=None).min_hosts == 3
+    assert ElasticityPolicy.from_env(min_hosts=None).min_hosts == 3
 
 
 def test_unknown_override_is_rejected():
-    with pytest.raises(TypeError, match="unknown policy knob"):
-        PolicyConfig.from_env(not_a_knob=1)
+    with pytest.raises(TypeError, match="unknown ElasticityPolicy knob"):
+        ElasticityPolicy.from_env(not_a_knob=1)
 
 
 def test_invalid_env_value_fails_policy_validation(monkeypatch):
     monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,bogus")
     with pytest.raises(ValueError, match="unknown policy signal"):
-        PolicyConfig.from_env()
+        ElasticityPolicy.from_env()
     monkeypatch.delenv("REPRO_POLICY_SIGNALS")
     monkeypatch.setenv("REPRO_POLICY_SCALE_IN_THRESHOLD", "0.9")
     with pytest.raises(ValueError):
-        PolicyConfig.from_env()
+        ElasticityPolicy.from_env()
 
 
-def test_policy_builds_the_matching_elasticity_policy():
-    config = PolicyConfig(signals=("cpu", "slo"), slo_p99_s=0.8, min_hosts=2)
-    policy = config.policy()
+def clear_policy_env(monkeypatch):
+    """Unset every ``REPRO_POLICY_*`` knob (CI legs export some)."""
+    for spec in dataclasses.fields(ElasticityPolicy):
+        monkeypatch.delenv(ElasticityPolicy.env_var(spec.name), raising=False)
+
+
+def test_policy_builds_the_matching_elasticity_policy(monkeypatch):
+    clear_policy_env(monkeypatch)
+    policy = ElasticityPolicy.from_env(
+        signals=("cpu", "slo"), slo_p99_s=0.8, min_hosts=2
+    )
     assert isinstance(policy, ElasticityPolicy)
-    assert policy.signals == ("cpu", "slo")
-    assert policy.slo_p99_s == 0.8
-    assert policy.min_hosts == 2
+    assert policy == ElasticityPolicy(
+        signals=("cpu", "slo"), slo_p99_s=0.8, min_hosts=2
+    )
     # Untouched knobs keep the paper defaults.
     assert policy.scale_out_threshold == 0.70
 
 
 def test_signals_accept_csv_string():
-    assert PolicyConfig(signals="spill, cpu").signals == ("spill", "cpu")
+    assert ElasticityPolicy(signals="spill, cpu").signals == ("spill", "cpu")
 
 
 class TestProvenance:
     def test_sources_reflect_where_each_value_came_from(self, monkeypatch):
+        clear_policy_env(monkeypatch)
         monkeypatch.setenv("REPRO_POLICY_SLO_WINDOW_S", "45")
         rows = {
             knob: (value, source)
-            for knob, value, source in PolicyConfig.provenance(
+            for knob, value, source in ElasticityPolicy.provenance(
                 slo_p99_s=0.25
             )
         }
@@ -110,8 +122,10 @@ class TestProvenance:
         assert rows["signals"] == ("cpu", "default")
 
     def test_every_knob_has_a_row(self):
-        rows = PolicyConfig.provenance()
-        assert {knob for knob, _, _ in rows} == set(_POLICY_ENV_VARS)
+        rows = ElasticityPolicy.provenance()
+        assert [knob for knob, _, _ in rows] == [
+            name for name, _, _ in ENV_CASES
+        ]
 
 
 class TestHubConfigPrecedence:
@@ -124,9 +138,10 @@ class TestHubConfigPrecedence:
 
     def test_explicit_policy_group_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,slo,spill")
-        config = HubConfig(policy=PolicyConfig(signals=("cpu",)))
+        config = HubConfig(policy=ElasticityPolicy(signals=("cpu",)))
         assert config.policy.signals == ("cpu",)
 
-    def test_default_policy_group_is_the_paper_policy(self):
+    def test_default_policy_group_is_the_paper_policy(self, monkeypatch):
+        clear_policy_env(monkeypatch)
         config = HubConfig()
-        assert config.policy.policy() == ElasticityPolicy()
+        assert config.policy == ElasticityPolicy()

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import CloudProvider, HostSpec
 from repro.filtering import AspeCipher, AspeKey, AspeLibrary, ExactBackend
-from repro.parallel import create_executor
+from repro.parallel import MatchConfig, create_executor
 from repro.pubsub import HubConfig, Publication, StreamHub, Subscription
 from repro.sim import Environment
 
@@ -41,7 +41,7 @@ def run_hub(cipher, executor=None, workers=0, migrate=False):
     env = Environment()
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=8)
     hosts = [cloud.provision_now() for _ in range(4)]
-    knobs = dict(
+    config = HubConfig(
         ap_slices=2,
         m_slices=4,
         ep_slices=2,
@@ -49,13 +49,10 @@ def run_hub(cipher, executor=None, workers=0, migrate=False):
         encrypted=False,
         backend_factory=lambda index: ExactBackend(AspeLibrary()),
         matcher_batch_limit=4,
-        match_chunk_rows=8,
+        # workers=None falls through to REPRO_MATCH_WORKERS.
+        match=MatchConfig.from_env(workers=workers, chunk_rows=8),
         match_executor=executor,
     )
-    if workers is not None:
-        # None leaves the field on its default factory (REPRO_MATCH_WORKERS).
-        knobs["match_workers"] = workers
-    config = HubConfig(**knobs)
     hub = StreamHub(env, cloud.network, config)
     hub.deploy_all_on(hosts[:2], [hosts[2]])
     for sub_id, encrypted in enumerate(encrypted_subs):

@@ -4,7 +4,9 @@ import pytest
 
 from repro.engine import MigrationCosts
 from repro.filtering import CostModel
+from repro.parallel import MatchConfig
 from repro.pubsub import HubConfig, Subscription
+from repro.transport import TransportConfig
 
 from .conftest import HubHarness, small_exact_config, small_sampled_config
 
@@ -57,11 +59,11 @@ def test_duplicate_notification_suppression_counter():
 
 def test_match_knob_validation_rejects_bad_values():
     with pytest.raises(ValueError, match="match_workers must be >= 0"):
-        small_exact_config(match_workers=-1)
+        small_exact_config(match=MatchConfig(workers=-1))
     with pytest.raises(ValueError, match="match_chunk_rows must be >= 1"):
-        small_exact_config(match_chunk_rows=0)
+        small_exact_config(match=MatchConfig(chunk_rows=0))
     with pytest.raises(ValueError, match="match_backend"):
-        small_exact_config(match_backend="bogus")
+        small_exact_config(match=MatchConfig(backend="bogus"))
 
 
 def test_match_knobs_default_from_environment(monkeypatch):
@@ -69,18 +71,16 @@ def test_match_knobs_default_from_environment(monkeypatch):
     monkeypatch.setenv("REPRO_MATCH_BACKEND", "pool")
     monkeypatch.setenv("REPRO_MATCH_CHUNK_ROWS", "512")
     config = small_exact_config()
-    assert config.match_workers == 3
-    assert config.match_backend == "pool"
-    assert config.match_chunk_rows == 512
+    assert config.match == MatchConfig(workers=3, backend="pool", chunk_rows=512)
 
 
 def test_match_knobs_defaults_without_environment(monkeypatch):
     for name in ("REPRO_MATCH_WORKERS", "REPRO_MATCH_BACKEND", "REPRO_MATCH_CHUNK_ROWS"):
         monkeypatch.delenv(name, raising=False)
     config = small_exact_config()
-    assert config.match_workers == 0
-    assert config.match_backend == "auto"
-    assert config.match_chunk_rows == 4096
+    assert config.match == MatchConfig()
+    assert (config.match.workers, config.match.backend) == (0, "auto")
+    assert config.match.chunk_rows == 4096
 
 
 def test_match_workers_env_rejects_non_integers(monkeypatch):
@@ -104,49 +104,13 @@ def test_zero_workers_without_injection_has_no_executor(monkeypatch):
     assert h.hub.match_executor is None
 
 
-def test_grouped_configs_mirror_into_flat_aliases():
-    from repro.elastic import PolicyConfig
-    from repro.parallel import MatchConfig
-    from repro.filtering.store import StoreConfig
-    from repro.transport import NetConfig
-
-    config = small_exact_config(
-        match=MatchConfig(workers=2, backend="pool", chunk_rows=64),
-        store=StoreConfig(memory_budget_mb=8.0, chunk_rows=128),
-        net=NetConfig(flush_mode="adaptive", backpressure=True),
-        policy=PolicyConfig(signals=("cpu", "slo")),
-    )
-    assert (config.match_workers, config.match_backend) == (2, "pool")
-    assert config.match_chunk_rows == 64
-    assert (config.store_memory_budget_mb, config.store_chunk_rows) == (8.0, 128)
-    assert config.net_flush_mode == "adaptive"
-    assert config.net_backpressure is True
-    assert config.policy.signals == ("cpu", "slo")
-
-
-def test_flat_fields_build_the_groups_when_no_group_is_given():
-    config = small_exact_config(
-        match_workers=3, store_memory_budget_mb=8.0, net_backpressure=True
-    )
-    assert config.match.workers == 3
-    assert config.store.spills
-    assert config.net.backpressure is True
-    assert config.policy is not None
-
-
-def test_explicit_group_wins_over_flat_fields():
-    from repro.parallel import MatchConfig
-
-    config = small_exact_config(
-        match=MatchConfig(workers=4), match_workers=1
-    )
-    assert config.match_workers == 4
-
-
-def test_deprecated_config_accessors_return_the_groups():
-    config = small_exact_config()
-    assert config.store_config() is config.store
-    assert config.transport_config() is config.net
+def test_net_group_reads_every_transport_variable(monkeypatch):
+    monkeypatch.setenv("REPRO_NET_BREAKER_PROBE_S", "2.0")
+    config = HubConfig.sampled(0.01)
+    assert config.net.breaker_probe_s == 2.0
+    assert config.net == TransportConfig.from_env()
+    h = HubHarness(small_sampled_config())
+    assert h.hub.runtime.transport.config.breaker_probe_s == 2.0
 
 
 def test_policy_group_defaults_from_environment(monkeypatch):
