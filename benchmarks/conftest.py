@@ -16,6 +16,14 @@ Environment knobs:
 """
 
 import os
+
+# One BLAS thread for every benchmark, set before numpy loads: on small
+# hosts multi-threaded OpenBLAS gemm stalls (~15 ms instead of ~0.8 ms
+# for one batched match), which made wall-clock floors flaky.  The same
+# variables perfbench pins; an explicit setting still wins.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import resource
 import sys
 import tracemalloc

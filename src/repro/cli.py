@@ -37,58 +37,22 @@ from .metrics import format_series, format_table
 __all__ = ["main", "build_parser"]
 
 
-def _non_negative_workers(value: str) -> int:
+def _positive_int(value: str) -> int:
     try:
-        workers = int(value)
+        count = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected an integer worker count, got {value!r}"
+            f"expected an integer, got {value!r}"
         ) from None
-    if workers < 0:
-        raise argparse.ArgumentTypeError(
-            f"match workers must be >= 0 (0 runs matching inline), got {workers}"
-        )
-    return workers
-
-
-def _positive_chunk_rows(value: str) -> int:
-    try:
-        rows = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer row count, got {value!r}"
-        ) from None
-    if rows < 1:
-        raise argparse.ArgumentTypeError(
-            f"match chunk rows must be >= 1, got {rows}"
-        )
-    return rows
-
-
-def _add_match_options(p: argparse.ArgumentParser) -> None:
-    """Parallel matching knobs shared by telemetry-demo commands."""
-    p.add_argument(
-        "--match-workers", type=_non_negative_workers, default=None,
-        help="worker processes for parallel matching (default: "
-        "REPRO_MATCH_WORKERS or 0 = inline)",
-    )
-    p.add_argument(
-        "--match-backend", choices=["auto", "inline", "pool", "shm"],
-        default=None,
-        help="matching execution backend (default: REPRO_MATCH_BACKEND or "
-        "auto)",
-    )
-    p.add_argument(
-        "--match-chunk-rows", type=_positive_chunk_rows, default=None,
-        help="minimum packed-matrix rows per worker chunk (default: "
-        "REPRO_MATCH_CHUNK_ROWS or 4096)",
-    )
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _add_store_options(p: argparse.ArgumentParser) -> None:
     """Out-of-core packed-row store knobs (exact ASPE backends only)."""
     p.add_argument(
-        "--store-chunk-rows", type=_positive_chunk_rows, default=None,
+        "--store-chunk-rows", type=_positive_int, default=None,
         help="maximum rows per store chunk (default: REPRO_STORE_CHUNK_ROWS "
         "or 65536)",
     )
@@ -117,7 +81,7 @@ def _add_net_options(p: argparse.ArgumentParser) -> None:
         help="per-channel flush delay budget in seconds",
     )
     p.add_argument(
-        "--net-flush-max-batch", type=_positive_chunk_rows, default=None,
+        "--net-flush-max-batch", type=_positive_int, default=None,
         help="flush as soon as this many messages are pending",
     )
     p.add_argument(
@@ -125,7 +89,7 @@ def _add_net_options(p: argparse.ArgumentParser) -> None:
         help="enable credit-based backpressure on every channel",
     )
     p.add_argument(
-        "--net-credit-window", type=_positive_chunk_rows, default=None,
+        "--net-credit-window", type=_positive_int, default=None,
         help="send credits per channel (default: REPRO_NET_CREDIT_WINDOW or 256)",
     )
 
@@ -203,15 +167,13 @@ def _policy_from_args(args):
 
 
 def _demo_groups(args) -> dict:
-    """The match/store/net groups of the telemetry demo, from the flags."""
+    """The store/net groups of the telemetry demo, from the flags."""
     from .filtering import StoreConfig
-    from .parallel import MatchConfig
     from .transport import TransportConfig
 
     return {
         name: group.from_env(**_overrides(args, group, f"{name}_"))
         for name, group in (
-            ("match", MatchConfig),
             ("store", StoreConfig),
             ("net", TransportConfig),
         )
@@ -268,11 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-migration", action="store_true",
                    help="skip the mid-run M slice migration")
     p.add_argument(
-        "--stream-window", type=_positive_chunk_rows, default=None,
+        "--stream-window", type=_positive_int, default=None,
         help="stream spans to disk every N spans instead of holding the "
              "whole trace in memory (same output bytes)",
     )
-    _add_match_options(p)
     _add_store_options(p)
     _add_net_options(p)
 
@@ -285,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="write to this file instead of stdout")
     p.add_argument("--publications", type=int, default=200)
-    _add_match_options(p)
     _add_store_options(p)
     _add_net_options(p)
 
@@ -478,7 +438,6 @@ def _cmd_cost(args) -> None:
 
 def _telemetry_demo(
     publications: int,
-    match,
     store,
     net,
     migrate: bool = True,
@@ -486,26 +445,13 @@ def _telemetry_demo(
 ):
     """One small telemetry-enabled deployment, fully deterministic.
 
-    Two engine hosts run a 2/4/2-slice hub configured with the resolved
-    ``match``/``store``/``net`` groups; a burst of ``publications`` flows
-    through while (optionally) the stateful slice ``M:0`` live-migrates
-    between the hosts.  Matching is statistically sampled by default;
-    with ``match.workers > 0`` it switches to real ASPE filtering through
-    the parallel worker pool so the worker-pool metric families carry
-    data.  Returns ``(telemetry, migration_report_or_None)``.
+    Two engine hosts run a 2/4/2-slice hub with statistically sampled
+    matching, configured with the resolved ``store``/``net`` groups; a
+    burst of ``publications`` flows through while (optionally) the
+    stateful slice ``M:0`` live-migrates between the hosts.  Returns
+    ``(telemetry, migration_report_or_None)``.
     """
-    import random
-
     from .cluster import CloudProvider, HostSpec
-    from .filtering import (
-        AspeCipher,
-        AspeKey,
-        AspeLibrary,
-        ExactBackend,
-        Op,
-        Predicate,
-        PredicateSet,
-    )
     from .pubsub import HubConfig, Publication, StreamHub, Subscription
     from .sim import Environment
     from .telemetry import Telemetry
@@ -517,43 +463,21 @@ def _telemetry_demo(
         telemetry.tracer.stream_to(path, window_spans=window)
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=4)
     hosts = [cloud.provision_now() for _ in range(3)]
-    shared = dict(
+    config = HubConfig.sampled(
+        matching_rate=0.05,
+        encrypted=False,
         ap_slices=2,
         m_slices=4,
         ep_slices=2,
         sink_slices=1,
         telemetry=telemetry,
-        match=match,
         store=store,
         net=net,
     )
-    cipher = None
-    if match.workers > 0:
-        key = AspeKey.generate(4, rng=random.Random(42))
-        cipher = AspeCipher(key, rng=random.Random(43))
-        config = HubConfig(
-            encrypted=True,
-            backend_factory=lambda index: ExactBackend(AspeLibrary()),
-            matcher_batch_limit=8,
-            **shared,
-        )
-    else:
-        config = HubConfig.sampled(
-            matching_rate=0.05, encrypted=False, **shared
-        )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy_all_on(hosts[:2], hosts[2:])
-    rng = random.Random(44)
-    ops = [Op.GT, Op.GE, Op.LT, Op.LE]
     for sub_id in range(50):
-        filter_payload = None
-        if cipher is not None:
-            filter_payload = cipher.encrypt_subscription(
-                PredicateSet(
-                    [Predicate(rng.randrange(4), rng.choice(ops), rng.uniform(0, 100))]
-                )
-            )
-        hub.subscribe(Subscription(sub_id, 1000 + sub_id, filter_payload))
+        hub.subscribe(Subscription(sub_id, 1000 + sub_id, None))
     env.run()
 
     report_box = []
@@ -565,12 +489,7 @@ def _telemetry_demo(
 
         env.process(migration())
     for pub_id in range(publications):
-        payload = None
-        if cipher is not None:
-            payload = cipher.encrypt_publication(
-                [rng.uniform(0, 100) for _ in range(4)]
-            )
-        hub.publish(Publication(pub_id, payload, published_at=env.now))
+        hub.publish(Publication(pub_id, None, published_at=env.now))
     env.run()
     return telemetry, (report_box[0] if report_box else None)
 

@@ -1,7 +1,8 @@
 """Shared, validated ``REPRO_*`` environment-variable parsing.
 
 Every layer keeps one frozen config dataclass — :class:`MatchConfig`
-(``REPRO_MATCH_*``), :class:`StoreConfig` (``REPRO_STORE_*``),
+(``REPRO_MATCH_WORKERS``, which only accepts 0: matching runs inline),
+:class:`StoreConfig` (``REPRO_STORE_*``),
 :class:`TransportConfig` (``REPRO_NET_*``) and :class:`ElasticityPolicy`
 (``REPRO_POLICY_*``) — and each inherits :class:`EnvConfig`, the one
 environment reader: field ``name`` reads ``<env_prefix><NAME>`` (or the

@@ -200,7 +200,6 @@ class SliceInstance:
             if worker.is_alive:
                 worker.interrupt("destroyed")
         self._workers = []
-        self.handler.detach()
         # Release inbound channels (and their credits/spill) with the
         # instance; channels keyed by this slice's logical id as *source*
         # survive for the successor instance.
@@ -353,11 +352,6 @@ class SliceInstance:
                         yield self.lock.acquire(mode)
                     try:
                         batch = self._drain_batch(event)
-                        # Submission point for real offloaded work: runs
-                        # under the batch's lock, schedules no simulation
-                        # events; results are collected in process() at
-                        # the completion time charged below.
-                        self.handler.prepare_batch(batch, self._ctx)
                         cost = sum(self.handler.cost(e) for e in batch)
                         if cost > 0.0:
                             yield from self.host.cpu.run(cost, tag=self.logical_id)

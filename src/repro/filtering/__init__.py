@@ -22,7 +22,6 @@ from .aspe import (
     EncryptedPredicate,
     EncryptedPublication,
     EncryptedSubscription,
-    PackedMatrixView,
     match_encrypted,
     match_packed,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "MatchResult",
     "MatchingBackend",
     "Op",
-    "PackedMatrixView",
     "Predicate",
     "PredicateSet",
     "SampledBackend",

@@ -33,7 +33,6 @@ boundary.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,7 +51,6 @@ __all__ = [
     "EncryptedPredicate",
     "EncryptedSubscription",
     "AspeLibrary",
-    "PackedMatrixView",
     "match_packed",
 ]
 
@@ -64,12 +62,6 @@ __all__ = [
 # with the ciphertext norms — a tolerance much above the rounding error
 # flips true non-matches near the boundary into matches.
 _REL_TOL = 1e-13
-
-#: Process-unique tokens for :class:`AspeLibrary` instances (see
-#: :attr:`PackedMatrixView.token`).  ``itertools.count`` is atomic under
-#: the GIL, so allocation needs no lock.
-_INSTANCE_TOKENS = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class AspeKey:
@@ -381,13 +373,9 @@ def match_packed(
     tests the sum for zero.
 
     This function is *pure* — a deterministic function of its array
-    arguments with no hidden state — which is what lets
-    :mod:`repro.parallel` ship the packed rows to worker processes and
-    still produce bit-identical decisions: :meth:`AspeLibrary.match_batch`
-    and the out-of-process path both run exactly this sequence of
-    vectorized operations.  ``workspace`` optionally supplies reusable
-    scratch buffers (``(name, shape, dtype) -> ndarray``); the default
-    allocates fresh ones, which is bit-wise equivalent.
+    arguments with no hidden state.  ``workspace`` optionally supplies
+    reusable scratch buffers (``(name, shape, dtype) -> ndarray``); the
+    default allocates fresh ones, which is bit-wise equivalent.
     """
     if workspace is None:
         workspace = _fresh_workspace
@@ -424,46 +412,6 @@ def match_packed(
     return unsatisfied if counts else unsatisfied == 0
 
 
-@dataclass(frozen=True)
-class PackedMatrixView:
-    """View of a library's packed matching state as one flat matrix.
-
-    Produced by :meth:`AspeLibrary.packed_view` for the parallel matching
-    executors.  The arrays are zero-copy views into the library's live
-    chunk when its store holds one chunk (a contiguous copy when it holds
-    several) — valid only until the next ``store``/``remove``/
-    ``import_state`` — and must not be mutated.
-
-    ``token`` is unique per library *instance* in this process (a fresh
-    value is drawn on construction and on unpickling), because ``epoch``
-    and ``generation`` are per-instance counters: two views describe
-    identical matching decisions only when *both* token and epoch are
-    equal.  ``epoch`` advances on every semantic change
-    (store/remove/import).  ``generation`` advances only when previously
-    exported row *content* moved or changed (compaction, import): within
-    one (token, generation) the rows below any previously observed
-    ``rows`` cursor are immutable, which is what makes append-only
-    dirty-row deltas sound.
-    """
-
-    token: int
-    epoch: int
-    generation: int
-    rows: int
-    width: int
-    matrix: Optional[np.ndarray]  # (rows, n) or None before the first store
-    strict: Optional[np.ndarray]
-    tol_signed: Optional[np.ndarray]
-    ids: List[int]
-    positions: np.ndarray
-    starts: np.ndarray
-    stops: np.ndarray
-
-    @property
-    def span_count(self) -> int:
-        return int(self.starts.size)
-
-
 #: Compact once dead rows outnumber live ones (and exceed this floor), so
 #: the store never carries more than 2× the live predicate rows.
 _COMPACT_MIN_DEAD = 64
@@ -484,9 +432,8 @@ class AspeLibrary(FilteringLibrary):
     compaction runs only when dead rows outnumber live ones — store/remove
     churn costs amortized O(rows touched), never a full repack.  Rows are
     direction-folded with their tolerances precomputed, and
-    :func:`match_packed` — the one kernel, also run by the parallel
-    matching workers — evaluates a whole batch of publications against
-    each chunk as a single matrix-matrix product.
+    :func:`match_packed` — the one kernel — evaluates a whole batch of
+    publications against each chunk as a single matrix-matrix product.
     """
 
     def __init__(self, store_config: Optional[StoreConfig] = None) -> None:
@@ -497,9 +444,6 @@ class AspeLibrary(FilteringLibrary):
         #: The packed rows (see repro.filtering.store): in RAM, or spilled
         #: to memory-mapped chunk files when the config sets a budget.
         self._store = ChunkedMatrixStore(self._store_config)
-        #: Epoch-keyed contiguous copy of a multi-chunk store for
-        #: :meth:`packed_view`: ``(epoch, matrix, strict, tol_signed)``.
-        self._materialized = None
         self._telemetry = None
         #: sub_id → [start, stop) row span in the packed matrix.
         self._spans: Dict[int, Tuple[int, int]] = {}
@@ -510,17 +454,6 @@ class AspeLibrary(FilteringLibrary):
         #: defeat numpy's small-allocation cache; reusing them removes the
         #: per-call mmap churn.
         self._ws: Dict[str, np.ndarray] = {}
-        #: Process-unique instance identity.  Epoch/generation counters
-        #: are per-instance, so sync caches keyed on them must also key on
-        #: the token — two *different* libraries can reach equal epochs.
-        self._token = next(_INSTANCE_TOKENS)
-        #: Bumped on every semantic mutation (store/remove/import); packed
-        #: views with equal epochs describe identical matching decisions.
-        self._epoch = 0
-        #: Bumped only when previously packed row content moves or changes
-        #: (compaction, import) — the append-only delta invariant of
-        #: :class:`PackedMatrixView`.
-        self._generation = 0
         # Instrumentation: churn benchmarks assert store/remove stays
         # incremental (appends, occasional compactions, no full repacks),
         # and that scratch buffers are not reallocated on every match.
@@ -550,14 +483,12 @@ class AspeLibrary(FilteringLibrary):
         self._subs[sub_id] = filter_data
         self._append_rows(sub_id, filter_data.predicates)
         self._index = None
-        self._epoch += 1
         self._maybe_compact()
 
     def remove(self, sub_id: int) -> None:
         del self._subs[sub_id]  # KeyError if unknown
         self._tombstone(sub_id)
         self._index = None
-        self._epoch += 1
         self._maybe_compact()
 
     # -- matching -------------------------------------------------------------
@@ -577,7 +508,7 @@ class AspeLibrary(FilteringLibrary):
             return []
         if not self._subs:
             return [[] for _ in publications]
-        ids, positions, starts, _, plan = self._span_index()
+        ids, positions, starts, plan = self._span_index()
         if starts.size == 0:
             # Only empty (vacuously true) subscriptions are stored.
             return [list(ids) for _ in publications]
@@ -630,8 +561,6 @@ class AspeLibrary(FilteringLibrary):
         for sub_id, subscription in state.items():
             self._subs[sub_id] = subscription
             self._append_rows(sub_id, subscription.predicates)
-        self._epoch += 1
-        self._generation += 1
         self.full_pack_count += 1
 
     # -- bulk ingest and shard transfer ---------------------------------------
@@ -639,8 +568,8 @@ class AspeLibrary(FilteringLibrary):
     def store_many(self, items) -> int:
         """Bulk-store ``(sub_id, EncryptedSubscription)`` pairs.
 
-        One staging block, one norm reduction, one store append and one
-        epoch bump for the whole batch — the 1M-subscription load path.
+        One staging block, one norm reduction and one store append for
+        the whole batch — the 1M-subscription load path.
         The resulting packed rows, spans and match decisions are
         identical to storing the items one by one; batches containing
         duplicate or already-stored ids fall back to exactly that.
@@ -671,7 +600,6 @@ class AspeLibrary(FilteringLibrary):
             self._spans[sub_id] = (row, row + len(predicates))
             row += len(predicates)
         self._index = None
-        self._epoch += 1
         self._maybe_compact()
         return len(items)
 
@@ -680,9 +608,7 @@ class AspeLibrary(FilteringLibrary):
 
         The merge half of shard split/merge: the rows transfer as whole
         chunk objects — zero rows rewritten.  ``other`` is left empty.
-        Returns the number of rows adopted.  Appending to self preserves
-        the append-only delta invariant, so the generation does not
-        advance.
+        Returns the number of rows adopted.
         """
         if other is self:
             raise ValueError("cannot absorb a library into itself")
@@ -698,7 +624,6 @@ class AspeLibrary(FilteringLibrary):
             self._subs[sub_id] = subscription
             self._spans[sub_id] = (base + start, base + stop)
         self._index = None
-        self._epoch += 1
         other._reset_empty()
         return moved
 
@@ -746,11 +671,6 @@ class AspeLibrary(FilteringLibrary):
             else:
                 new_lib._spans[sub_id] = (0, 0)
         self._index = None
-        self._epoch += 1
-        # Rows past the boundary vanished from this library: previously
-        # exported row cursors are invalid, so the generation advances.
-        self._generation += 1
-        new_lib._epoch += 1
         return new_lib, copied
 
     def _reset_empty(self) -> None:
@@ -760,9 +680,6 @@ class AspeLibrary(FilteringLibrary):
         self._store.clear()
         self._index = None
         self._ws = {}
-        self._materialized = None
-        self._epoch += 1
-        self._generation += 1
 
     # -- store configuration and observability --------------------------------
 
@@ -785,7 +702,6 @@ class AspeLibrary(FilteringLibrary):
             )
         self._store_config = config
         self._store = ChunkedMatrixStore(config)
-        self._materialized = None
         if self._telemetry is not None:
             self._store.bind_telemetry(self._telemetry)
 
@@ -805,63 +721,21 @@ class AspeLibrary(FilteringLibrary):
     def get_subscription(self, sub_id: int) -> EncryptedSubscription:
         return self._subs[sub_id]
 
-    def packed_view(self) -> PackedMatrixView:
-        """:class:`PackedMatrixView` of the live packed state.
-
-        Zero-copy when the store holds one chunk; a multi-chunk store is
-        copied once per epoch.  Valid until the next mutation; see the
-        view's docstring for the epoch/generation contract the parallel
-        executors rely on.
-        """
-        ids, positions, starts, stops, _ = self._span_index()
-        store = self._store
-        matrix = strict = tol_signed = None
-        if store.width is not None:
-            cached = self._materialized
-            if cached is not None and cached[0] == self._epoch:
-                _, matrix, strict, tol_signed = cached
-            else:
-                matrix, strict, tol_signed = store.materialize()
-                # Rows below any previously observed cursor re-copy to
-                # identical bits within a generation, so append-only
-                # deltas stay sound across these copies.
-                self._materialized = (
-                    (self._epoch, matrix, strict, tol_signed)
-                    if store.chunk_count > 1
-                    else None
-                )
-        return PackedMatrixView(
-            token=self._token,
-            epoch=self._epoch,
-            generation=self._generation,
-            rows=store.rows,
-            width=store.width or 0,
-            matrix=matrix,
-            strict=strict,
-            tol_signed=tol_signed,
-            ids=ids,
-            positions=positions,
-            starts=starts,
-            stops=stops,
-        )
-
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self):
         """Serialize the packed rows as one trimmed flat block.
 
-        Snapshots shipped to matching workers and ``export_state`` copies
-        made during migration must not serialize dead weight: the
-        workspace buffers (B × rows scratch), the span index, the
-        tolerance columns (recomputed bit-identically from the rows), the
-        unused tail-chunk capacity and the chunk layout and residency
-        (process-local, rebuilt on restore) are all omitted.  ``_packed``
+        ``export_state`` copies made during migration must not serialize
+        dead weight: the workspace buffers (B × rows scratch), the span
+        index, the tolerance columns (recomputed bit-identically from the
+        rows), the unused tail-chunk capacity and the chunk layout and
+        residency (process-local, rebuilt on restore) are all omitted.  ``_packed``
         is ``(matrix, strict, alive)`` over the rows in use, or ``None``.
         """
         state = self.__dict__.copy()
         state["_ws"] = {}
         state["_index"] = None
-        state["_materialized"] = None
         state["_telemetry"] = None
         del state["_store"]
         state["_packed"] = self._store.export_rows() if self._store.rows else None
@@ -870,10 +744,6 @@ class AspeLibrary(FilteringLibrary):
     def __setstate__(self, state):
         packed = state.pop("_packed")
         self.__dict__.update(state)
-        # A restored copy is a new instance whose counters continue from
-        # the pickled values — it must not alias the source's sync
-        # identity in any executor channel.
-        self._token = next(_INSTANCE_TOKENS)
         self._store = ChunkedMatrixStore(self._store_config)
         if packed is None:
             return
@@ -961,23 +831,21 @@ class AspeLibrary(FilteringLibrary):
             for sub_id, (start, stop) in self._spans.items()
         }
         self._index = None
-        # Row content moved: previously exported deltas are invalid.
-        self._generation += 1
         self.compaction_count += 1
 
     def _span_index(self):
-        """Cached reduction index: (ids, positions, starts, stops, plan).
+        """Cached reduction index: (ids, positions, starts, plan).
 
         ``ids`` lists stored subscription ids in dict (insertion) order;
-        ``starts``/``stops`` hold the row offsets of all *non-empty* spans,
-        sorted by start, ready for the prefix-sum span reduction;
+        ``starts`` holds the row offsets of all *non-empty* spans, sorted,
+        ready for the prefix-sum span reduction;
         ``positions[j]`` is the index into ``ids`` of the span whose
         reduction lands in slot ``j``.  Empty spans are left out — their
         subscriptions match vacuously.  ``plan`` lists, per chunk holding
         span rows, ``(chunk, j0, j1, lo, hi)``: spans ``[j0, j1)`` overlap
         the chunk, and ``lo``/``hi`` are their bounds relative to it,
         clipped to its rows.  Rebuilding is O(#subscriptions), done lazily
-        once per epoch; match itself is already Ω(#subscriptions).
+        once per mutation; match itself is already Ω(#subscriptions).
         """
         if self._index is None:
             ids: List[int] = []
@@ -1013,5 +881,5 @@ class AspeLibrary(FilteringLibrary):
                     _local_bounds(starts[j0:j1], base, rows),
                     _local_bounds(stops[j0:j1], base, rows),
                 ))
-            self._index = (ids, positions[order], starts, stops, plan)
+            self._index = (ids, positions[order], starts, plan)
         return self._index

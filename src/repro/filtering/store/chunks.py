@@ -516,42 +516,26 @@ class ChunkedMatrixStore:
             if chunk.used:
                 yield self.block(index)
 
-    def _gather(self, *fields: str) -> Tuple[np.ndarray, ...]:
-        """Per-field arrays over all rows: zero-copy views when the store
-        is one chunk, contiguous copies (streamed chunk by chunk)
-        otherwise."""
+    def export_rows(self):
+        """Trimmed (matrix, strict, alive) over all rows — the pickle
+        format of :class:`~repro.filtering.AspeLibrary`.  Views of the
+        chunk when the store is one chunk; otherwise contiguous copies,
+        streamed chunk by chunk."""
+        if self.width is None:
+            return None
+        fields = ("matrix", "strict", "alive")
         if len(self._chunks) == 1:
             block = self.block(0)
-            return tuple(getattr(block, name) for name in fields)
-        out = tuple(
-            np.empty((self._rows, self.width))
-            if name == "matrix"
-            else np.empty(self._rows, dtype=bool if name in ("strict", "alive") else np.float64)
-            for name in fields
+            return tuple(np.ascontiguousarray(getattr(block, f)) for f in fields)
+        out = (
+            np.empty((self._rows, self.width)),
+            np.empty(self._rows, dtype=bool),
+            np.empty(self._rows, dtype=bool),
         )
         for block in self.blocks():
             for array, name in zip(out, fields):
                 array[block.start : block.stop] = getattr(block, name)
         return out
-
-    def export_rows(self):
-        """Trimmed (matrix, strict, alive) over all rows — the pickle
-        format of :class:`~repro.filtering.AspeLibrary`."""
-        if self.width is None:
-            return None
-        return tuple(
-            np.ascontiguousarray(a) for a in self._gather("matrix", "strict", "alive")
-        )
-
-    def materialize(self):
-        """(matrix, strict, tol_signed) over all rows for packed views.
-
-        Zero-copy views when the store is one chunk; contiguous copies
-        only when it spans several.
-        """
-        if self.width is None:
-            return None
-        return self._gather("matrix", "strict", "tol_signed")
 
     # -- shard transfer -------------------------------------------------------
 

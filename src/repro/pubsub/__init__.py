@@ -17,7 +17,7 @@ from .operators import (
     KIND_PUBLICATION,
     KIND_SUBSCRIPTION,
 )
-from .hub import HubConfig, StreamHub
+from .hub import HubConfig, MatchConfig, StreamHub
 from .source import SourceDriver
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "KIND_NOTIFY",
     "KIND_PUBLICATION",
     "KIND_SUBSCRIPTION",
+    "MatchConfig",
     "MatchList",
     "MatcherHandler",
     "Notification",

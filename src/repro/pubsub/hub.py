@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..cluster import Host, Network
+from ..config import EnvConfig
 from ..elastic.policy import ElasticityPolicy
 from ..engine import EngineRuntime, MigrationCosts
 from ..filtering import CostModel, MatchingBackend, SampledBackend, StoreConfig
 from ..metrics import DelaySample, DelayTracker
-from ..parallel.config import MatchConfig
 from ..sim import Environment
 from ..telemetry import Telemetry
 from ..transport import TransportConfig
@@ -31,7 +31,29 @@ from .operators import (
     KIND_SUBSCRIPTION,
 )
 
-__all__ = ["HubConfig", "StreamHub"]
+__all__ = ["HubConfig", "MatchConfig", "StreamHub"]
+
+
+@dataclass(frozen=True)
+class MatchConfig(EnvConfig):
+    """The matching knob group (``REPRO_MATCH_WORKERS``).
+
+    M slices call ``match_batch`` in-process (DESIGN.md §7 measures why);
+    ``workers`` stays so a resolved config still records that, and any
+    value but 0 is refused.
+    """
+
+    env_prefix = "REPRO_MATCH_"
+
+    #: Matching worker processes; matching runs inline, so only 0.
+    workers: int = 0
+
+    def __post_init__(self):
+        if self.workers != 0:
+            raise ValueError(
+                f"match_workers (REPRO_MATCH_WORKERS) must be 0: M slices "
+                f"match inline, got {self.workers}"
+            )
 
 
 @dataclass
@@ -43,9 +65,9 @@ class HubConfig:
     sized to the 8-core hosts.
 
     Engine knobs live in one config object per layer — :attr:`match`
-    (``REPRO_MATCH_*``), :attr:`store` (``REPRO_STORE_*``), :attr:`net`
-    (``REPRO_NET_*``) and :attr:`policy` (``REPRO_POLICY_*``).  Each
-    group defaults to its ``from_env()``; pass ``Group.from_env(knob=...)``
+    (``REPRO_MATCH_WORKERS``), :attr:`store` (``REPRO_STORE_*``),
+    :attr:`net` (``REPRO_NET_*``) and :attr:`policy` (``REPRO_POLICY_*``).
+    Each group defaults to its ``from_env()``; pass ``Group.from_env(knob=...)``
     to override single knobs while the environment fills the rest.
     """
 
@@ -75,12 +97,7 @@ class HubConfig:
     #: layer records into the same tracer/registry (see OBSERVABILITY.md).
     #: ``None`` (the default) keeps all hot paths on their no-op branch.
     telemetry: Optional["Telemetry"] = None
-    #: Injected :class:`repro.parallel.MatchExecutor` instance (tests and
-    #: benchmarks).  When ``None`` and ``match.workers > 0`` the hub uses
-    #: the process-wide shared executor for its knobs.
-    match_executor: Optional[object] = None
-    #: Parallel-matching knob group: workers, execution backend and
-    #: chunking of the worker-pool ``match_batch`` path (DESIGN.md §7).
+    #: Matching knob group; M slices always match inline (DESIGN.md §7).
     match: MatchConfig = field(default_factory=MatchConfig.from_env)
     #: Packed-row store of exact (ASPE) M-slice libraries (sampled
     #: backends ignore it; DESIGN.md §8).
@@ -153,23 +170,6 @@ class StreamHub:
             self.runtime.bind_telemetry(self.telemetry)
             network.bind_telemetry(self.telemetry)
             self._delay_hist = self.telemetry.notification_delay
-        #: The matching executor backing this hub's M slices (``None``
-        #: when matching runs inline).  Hubs with identical knobs share
-        #: one process-wide pool unless ``config.match_executor`` injects
-        #: a dedicated instance.
-        self.match_executor = None
-        if config.match_executor is not None:
-            self.match_executor = config.match_executor
-        elif config.match.workers > 0:
-            from ..parallel import shared_executor
-
-            self.match_executor = shared_executor(
-                config.match.workers,
-                config.match.backend,
-                config.match.chunk_rows,
-            )
-        if self.match_executor is not None and self.telemetry is not None:
-            self.match_executor.bind_telemetry(self.telemetry)
         self.delay_tracker = DelayTracker()
         #: Joined notifications in delivery order (subscriber ids are
         #: present in exact-matching mode, ``None`` in sampled mode).
@@ -207,7 +207,6 @@ class StreamHub:
                 encrypted=config.encrypted,
                 exit_operator=self.EP,
                 batch_limit=config.matcher_batch_limit,
-                executor=self.match_executor,
                 store_config=config.store,
             ),
             parallelism=config.parallelism,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine import BROADCAST, SliceContext, SliceHandler, StreamEvent
-from ..filtering import CostModel, MatchResult, MatchingBackend
+from ..filtering import CostModel, MatchingBackend
 from .messages import MatchList, Notification, Publication, Subscription
 
 __all__ = [
@@ -115,17 +115,7 @@ class AccessPointHandler(SliceHandler):
 
 
 class MatcherHandler(SliceHandler):
-    """M operator: stores a subscription partition, filters publications.
-
-    When constructed with a :class:`repro.parallel.MatchExecutor`, the
-    matching work of each publication batch is *submitted* to the worker
-    pool at dequeue time (:meth:`prepare_batch`) and collected at the
-    batch's scheduled completion time — overlapping real CPU across
-    concurrent M slices without touching the simulated trajectory.  The
-    offload engages only when the backend's library supports the packed
-    protocol (``ExactBackend.parallel_library()``); everything else, and
-    ``executor=None``, matches inline exactly as before.
-    """
+    """M operator: stores a subscription partition, filters publications."""
 
     def __init__(
         self,
@@ -135,7 +125,6 @@ class MatcherHandler(SliceHandler):
         encrypted: bool = True,
         exit_operator: str = "EP",
         batch_limit: int = 1,
-        executor=None,
         store_config=None,
     ):
         if batch_limit <= 0:
@@ -151,11 +140,8 @@ class MatcherHandler(SliceHandler):
         self.publications_matched = 0
         #: Publications that arrived in coalesced batches of size > 1.
         self.publications_batched = 0
-        #: Batches whose matching ran on the worker pool.
-        self.batches_offloaded = 0
         #: sub_id → subscriber, resolved when emitting match lists.
         self._subscribers: Dict[int, int] = {}
-        self.executor = executor
         if store_config is not None:
             configure = getattr(
                 getattr(backend, "library", None), "configure_store", None
@@ -163,20 +149,6 @@ class MatcherHandler(SliceHandler):
             if configure is not None:
                 configure(store_config)
         self._telemetry_bound = False
-        self._refresh_parallel_capability()
-
-    def _refresh_parallel_capability(self) -> None:
-        """(Re)detect whether the backend supports packed-pool offload."""
-        parallel_library = None
-        if self.executor is not None and hasattr(self.backend, "parallel_library"):
-            parallel_library = self.backend.parallel_library()
-        self._parallel_library = parallel_library
-        self._channel = None
-        self._rendezvous = None
-        if parallel_library is not None:
-            from ..parallel import CompletionRendezvous
-
-            self._rendezvous = CompletionRendezvous()
 
     def _bind_store_telemetry(self, telemetry) -> None:
         """First-contact bind of the backing store's wall-clock metrics."""
@@ -208,50 +180,6 @@ class MatcherHandler(SliceHandler):
     def coalesce_with(self, head: StreamEvent, candidate: StreamEvent) -> bool:
         return candidate.kind == KIND_PUBLICATION
 
-    def prepare_batch(self, events, ctx: SliceContext) -> None:
-        """Submit the batch's matching work to the worker pool, if any.
-
-        Runs at dequeue time under the batch's "R" lock — the library
-        cannot mutate until every in-flight publication holder releases
-        it, so the packed view copied out here is stable.  Schedules no
-        simulation events; the future parks in the rendezvous until
-        :meth:`process`/:meth:`process_batch` collects it at the batch's
-        scheduled virtual completion time.
-        """
-        if self._rendezvous is None or events[0].kind != KIND_PUBLICATION:
-            return
-        if self._channel is None:
-            self._channel = self.executor.open_channel(f"M:{self.slice_index}")
-        future = self._channel.submit(
-            self._parallel_library, [event.payload.payload for event in events]
-        )
-        self._rendezvous.post(events[0], future)
-
-    def detach(self) -> None:
-        """Slice teardown (migration/recovery): drop in-flight work."""
-        if self._rendezvous is not None:
-            self._rendezvous.cancel_all()
-        if self._channel is not None:
-            self._channel.close()
-            self._channel = None
-
-    def _collect(self, head_event, publications) -> Optional[List[Any]]:
-        """Claim the offloaded results for the batch headed by ``head_event``.
-
-        Returns one :class:`MatchResult` per publication, or ``None`` when
-        the batch was never offloaded (no executor, subscription events,
-        non-packed backend) — callers then match inline.
-        """
-        if self._rendezvous is None:
-            return None
-        future = self._rendezvous.take(head_event)
-        if future is None:
-            return None
-        self.batches_offloaded += 1
-        return [
-            MatchResult(count=len(ids), ids=ids) for ids in future.result()
-        ]
-
     def process(self, event: StreamEvent, ctx: SliceContext) -> None:
         if not self._telemetry_bound:
             self._bind_store_telemetry(getattr(ctx, "telemetry", None))
@@ -261,11 +189,7 @@ class MatcherHandler(SliceHandler):
             self._subscribers[subscription.sub_id] = subscription.subscriber
         elif event.kind == KIND_PUBLICATION:
             publication: Publication = event.payload
-            collected = self._collect(event, [publication])
-            if collected is not None:
-                result = collected[0]
-            else:
-                result = self.backend.match(publication.pub_id, publication.payload)
+            result = self.backend.match(publication.pub_id, publication.payload)
             telemetry = getattr(ctx, "telemetry", None)
             if telemetry is not None and telemetry.matcher_publications is not None:
                 telemetry.matcher_publications.inc()
@@ -286,12 +210,10 @@ class MatcherHandler(SliceHandler):
         if not self._telemetry_bound:
             self._bind_store_telemetry(getattr(ctx, "telemetry", None))
         publications = [event.payload for event in events]
-        results = self._collect(events[0], publications)
-        if results is None:
-            results = self.backend.match_batch(
-                [publication.pub_id for publication in publications],
-                [publication.payload for publication in publications],
-            )
+        results = self.backend.match_batch(
+            [publication.pub_id for publication in publications],
+            [publication.payload for publication in publications],
+        )
         telemetry = getattr(ctx, "telemetry", None)
         if telemetry is not None and telemetry.matcher_publications is not None:
             telemetry.matcher_publications.inc(len(results))
@@ -369,9 +291,7 @@ class MatcherHandler(SliceHandler):
         self._subscribers = other._subscribers
         self.publications_matched = other.publications_matched
         self.publications_batched = other.publications_batched
-        self.batches_offloaded = other.batches_offloaded
         self._telemetry_bound = other._telemetry_bound
-        self._refresh_parallel_capability()
 
     def reshard(self, op: str, shard_index=None, pivot_key=None):
         """Run one shard split/merge on the backend's sharded library.

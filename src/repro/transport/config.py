@@ -29,7 +29,7 @@ and pace the event plane on top of the raw network fabric
 :meth:`TransportConfig.from_env` reads the ``REPRO_NET_*`` environment
 variables (through the shared :class:`repro.config.EnvConfig` reader) so an
 existing deployment or test run flips transport behaviour without code
-changes — the same convention as ``REPRO_MATCH_*`` and ``REPRO_STORE_*``.
+changes — the same convention as ``REPRO_STORE_*`` and ``REPRO_POLICY_*``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Pickling contract of `AspeLibrary`: no scratch state in the blob.
 
-Packed snapshots shipped to matching workers and migration state copies
-both serialize the library, so `__getstate__` must exclude everything
-recomputable — workspace buffers, the span index, the tolerance columns,
-the chunk layout — and serialize the packed rows as one block trimmed to
-the rows in use (no spare tail-chunk capacity).  These tests pin that
+Migration state copies serialize the library, so `__getstate__` must
+exclude everything recomputable — workspace buffers, the span index, the
+tolerance columns, the chunk layout — and serialize the packed rows as
+one block trimmed to the rows in use (no spare tail-chunk capacity).  These tests pin that
 contract: matching activity must not grow the pickle, and a restored
 library must decide identically.
 """
@@ -69,22 +68,20 @@ def test_getstate_drops_scratch_and_trims_buffers(cipher):
         [cipher.encrypt_publication([1.0, 2.0, 3.0, 4.0])]
     )
     library.match(cipher.encrypt_publication([4.0, 3.0, 2.0, 1.0]))
-    view = library.packed_view()
+    rows, width = library._store.rows, library._store.width
     state = library.__getstate__()
     # The one pickle format: no store object, no scratch, and the rows as
     # a trimmed (matrix, strict, alive) block.
     assert "_store" not in state
     assert state["_ws"] == {}
     assert state["_index"] is None
-    assert state["_materialized"] is None
     matrix, strict, alive = state["_packed"]
     # The growing tail chunk's spare capacity is trimmed to the rows in use.
-    assert view.rows < library.store_stats()["resident_bytes"] // (
-        (view.width + 2) * 8
-    )
-    assert matrix.shape == (view.rows, view.width)
-    assert strict.shape == alive.shape == (view.rows,)
-    assert np.array_equal(matrix, view.matrix)
+    assert rows < library.store_stats()["resident_bytes"] // ((width + 2) * 8)
+    assert matrix.shape == (rows, width)
+    assert strict.shape == alive.shape == (rows,)
+    blocks = library._store.blocks()
+    assert np.array_equal(matrix, np.concatenate([b.matrix for b in blocks]))
 
 
 def test_roundtrip_decides_identically(cipher):

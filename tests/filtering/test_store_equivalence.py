@@ -10,10 +10,9 @@ to memory-mapped files under a budget of about two chunks — plus a
 spilling :class:`ShardedAspeLibrary` that additionally splits and merges
 shards mid-sequence.  After every operation all of them must equal the
 oracle, ``match(p)`` must equal ``match_batch([p])[0]``, and the
-``AspeLibrary`` variants must walk *identical* ``packed_view``
-epoch/generation sequences (the contract the parallel executors cache
-on).  Deterministic cases pin the layouts random churn reaches only by
-chance: spans straddling chunk boundaries, spans longer than a chunk,
+``AspeLibrary`` variants must hold bit-identical rows, compared through
+``ChunkedMatrixStore.export_rows()`` (the pickle format).  Deterministic
+cases pin the layouts random churn reaches only by chance: spans straddling chunk boundaries, spans longer than a chunk,
 and the in-RAM tail chunk growing.
 """
 
@@ -76,6 +75,18 @@ def assert_single_equals_batch(library, publications):
     assert [library.match(pub) for pub in publications] == batch
 
 
+def assert_same_rows(library, other):
+    """Same subscriptions, spans and bit-identical packed rows."""
+    assert library.subscription_ids() == other.subscription_ids()
+    assert library._spans == other._spans
+    rows, other_rows = library._store.export_rows(), other._store.export_rows()
+    if rows is None or other_rows is None:
+        assert rows is other_rows is None
+        return
+    for array, other_array in zip(rows, other_rows):
+        assert np.array_equal(array, other_array)
+
+
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("store"), st.integers(0, 9)),
@@ -105,11 +116,6 @@ def test_backends_and_shards_agree_under_churn(sequence):
         expected = oracle(model, _PUBS)
         for lib in everything:
             assert lib.match_batch(_PUBS) == expected
-        marks = {
-            (lib.packed_view().epoch, lib.packed_view().generation)
-            for lib in libraries.values()
-        }
-        assert len(marks) == 1, "epoch/generation diverged across stores"
 
     for op, arg in sequence:
         if op == "store":
@@ -142,25 +148,15 @@ def test_backends_and_shards_agree_under_churn(sequence):
     for lib in everything:
         assert_single_equals_batch(lib, _PUBS)
 
-    # Packed views must also carry bit-identical row data.
-    views = [lib.packed_view() for lib in libraries.values()]
-    base = views[0]
-    for view in views[1:]:
-        assert view.rows == base.rows
-        assert view.ids == base.ids
-        if base.matrix is None:
-            assert view.matrix is None
-            continue
-        assert np.array_equal(view.matrix, base.matrix)
-        assert np.array_equal(view.strict, base.strict)
-        assert np.array_equal(view.tol_signed, base.tol_signed)
-        assert np.array_equal(view.starts, base.starts)
-        assert np.array_equal(view.stops, base.stops)
+    # Every store shape also holds bit-identical row data.
+    base, *others = libraries.values()
+    for lib in others:
+        assert_same_rows(lib, base)
 
 
 @given(ops)
 @settings(max_examples=25, deadline=None)
-def test_library_split_merge_preserves_epoch_lockstep(sequence):
+def test_library_split_merge_keeps_stores_in_lockstep(sequence):
     """detach_suffix/absorb (the shard fast paths) on churned libraries
     keep in-RAM and spilling stores in lockstep and equal to the oracle."""
     ram = AspeLibrary(store_config=_CONFIGS["small_chunks"])
@@ -191,10 +187,7 @@ def test_library_split_merge_preserves_epoch_lockstep(sequence):
             other.store_many(items)
         lib.absorb(other)  # merge it straight back
     assert ram.match_batch(_PUBS) == spilled.match_batch(_PUBS)
-    assert ram.subscription_count() == spilled.subscription_count()
-    views = (ram.packed_view(), spilled.packed_view())
-    assert views[0].epoch == views[1].epoch
-    assert views[0].generation == views[1].generation
+    assert_same_rows(ram, spilled)
     # Detach+absorb reorders rows (moving ids land behind staying ids), so
     # compare match *sets* per publication against the oracle.
     expected = oracle({i: _SUBS[i] for i in stored}, _PUBS)
@@ -308,22 +301,4 @@ def test_tail_chunk_growth_keeps_decisions_and_views():
     # The grown store packs the same rows as a bulk-loaded one.
     bulk = AspeLibrary(store_config=StoreConfig(chunk_rows=256))
     bulk.store_many(subs.items())
-    grown, packed = library.packed_view(), bulk.packed_view()
-    assert np.array_equal(grown.matrix, packed.matrix)
-    assert np.array_equal(grown.tol_signed, packed.tol_signed)
-    assert np.array_equal(grown.starts, packed.starts)
-
-
-def test_single_chunk_packed_view_is_zero_copy():
-    subs = _random_subscriptions(30, seed=31)
-    one = AspeLibrary(store_config=StoreConfig())
-    one.store_many(subs.items())
-    view = one.packed_view()
-    again = one.packed_view()
-    assert np.shares_memory(view.matrix, again.matrix)
-    many = AspeLibrary(store_config=StoreConfig(chunk_rows=8))
-    many.store_many(subs.items())
-    copied = many.packed_view()
-    assert np.array_equal(copied.matrix, view.matrix)
-    assert np.array_equal(copied.strict, view.strict)
-    assert np.array_equal(copied.tol_signed, view.tol_signed)
+    assert_same_rows(library, bulk)

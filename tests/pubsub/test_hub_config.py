@@ -4,8 +4,7 @@ import pytest
 
 from repro.engine import MigrationCosts
 from repro.filtering import CostModel
-from repro.parallel import MatchConfig
-from repro.pubsub import HubConfig, Subscription
+from repro.pubsub import HubConfig, MatchConfig, Subscription
 from repro.transport import TransportConfig
 
 from .conftest import HubHarness, small_exact_config, small_sampled_config
@@ -58,50 +57,35 @@ def test_duplicate_notification_suppression_counter():
 
 
 def test_match_knob_validation_rejects_bad_values():
-    with pytest.raises(ValueError, match="match_workers must be >= 0"):
-        small_exact_config(match=MatchConfig(workers=-1))
-    with pytest.raises(ValueError, match="match_chunk_rows must be >= 1"):
-        small_exact_config(match=MatchConfig(chunk_rows=0))
-    with pytest.raises(ValueError, match="match_backend"):
-        small_exact_config(match=MatchConfig(backend="bogus"))
+    for workers in (-1, 1, 4):
+        with pytest.raises(ValueError, match="match_workers .* must be 0"):
+            small_exact_config(match=MatchConfig(workers=workers))
 
 
 def test_match_knobs_default_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_MATCH_WORKERS", "3")
-    monkeypatch.setenv("REPRO_MATCH_BACKEND", "pool")
-    monkeypatch.setenv("REPRO_MATCH_CHUNK_ROWS", "512")
+    # An explicit zero is the one value the variable accepts.
+    monkeypatch.setenv("REPRO_MATCH_WORKERS", "0")
     config = small_exact_config()
-    assert config.match == MatchConfig(workers=3, backend="pool", chunk_rows=512)
+    assert config.match == MatchConfig(workers=0)
 
 
 def test_match_knobs_defaults_without_environment(monkeypatch):
-    for name in ("REPRO_MATCH_WORKERS", "REPRO_MATCH_BACKEND", "REPRO_MATCH_CHUNK_ROWS"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_MATCH_WORKERS", raising=False)
     config = small_exact_config()
     assert config.match == MatchConfig()
-    assert (config.match.workers, config.match.backend) == (0, "auto")
-    assert config.match.chunk_rows == 4096
+    assert config.match.workers == 0
+
+
+def test_nonzero_match_workers_env_is_refused(monkeypatch):
+    monkeypatch.setenv("REPRO_MATCH_WORKERS", "4")
+    with pytest.raises(ValueError, match="REPRO_MATCH_WORKERS.*match inline"):
+        small_exact_config()
 
 
 def test_match_workers_env_rejects_non_integers(monkeypatch):
     monkeypatch.setenv("REPRO_MATCH_WORKERS", "many")
     with pytest.raises(ValueError, match="REPRO_MATCH_WORKERS"):
         small_exact_config()
-
-
-def test_injected_executor_is_used_verbatim():
-    from repro.parallel import InlineMatchExecutor
-
-    executor = InlineMatchExecutor()
-    h = HubHarness(small_exact_config(match_executor=executor))
-    assert h.hub.match_executor is executor
-    executor.shutdown()
-
-
-def test_zero_workers_without_injection_has_no_executor(monkeypatch):
-    monkeypatch.delenv("REPRO_MATCH_WORKERS", raising=False)
-    h = HubHarness(small_exact_config())
-    assert h.hub.match_executor is None
 
 
 def test_net_group_reads_every_transport_variable(monkeypatch):

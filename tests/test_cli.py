@@ -183,23 +183,22 @@ def _record_demo_hubs(monkeypatch):
     return hubs
 
 
-def test_demo_match_knobs_fall_through_to_environment(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_MATCH_CHUNK_ROWS", "512")
+def test_demo_knobs_fall_through_to_environment(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_STORE_CHUNK_ROWS", "512")
     hubs = _record_demo_hubs(monkeypatch)
     assert main(["metrics", "--publications", "5",
                  "--out", str(tmp_path / "metrics.txt")]) == 0
-    assert [hub.config.match.chunk_rows for hub in hubs] == [512]
+    assert [hub.config.store.chunk_rows for hub in hubs] == [512]
 
 
 def test_demo_flags_beat_environment(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_MATCH_CHUNK_ROWS", "512")
+    monkeypatch.setenv("REPRO_STORE_CHUNK_ROWS", "512")
     monkeypatch.setenv("REPRO_NET_FLUSH_MODE", "fixed")
     hubs = _record_demo_hubs(monkeypatch)
     assert main(["trace", "--publications", "5", "--no-migration",
                  "--out", str(tmp_path / "trace.jsonl"),
-                 "--match-chunk-rows", "64", "--store-chunk-rows", "128",
+                 "--store-chunk-rows", "128",
                  "--net-flush-mode", "adaptive"]) == 0
     (hub,) = hubs
-    assert hub.config.match.chunk_rows == 64
     assert hub.config.store.chunk_rows == 128
     assert hub.config.net.flush_mode == "adaptive"

@@ -11,13 +11,12 @@ import pytest
 
 from repro.elastic import ElasticityPolicy
 from repro.filtering import StoreConfig
-from repro.parallel import MatchConfig
+from repro.pubsub import MatchConfig
 from repro.transport import TransportConfig
 
 CASES = [
-    (MatchConfig, "workers", "REPRO_MATCH_WORKERS", "3", 3, 2),
-    (MatchConfig, "backend", "REPRO_MATCH_BACKEND", "pool", "pool", "inline"),
-    (MatchConfig, "chunk_rows", "REPRO_MATCH_CHUNK_ROWS", "512", 512, 64),
+    # 0 is the only value MatchConfig accepts (matching runs inline).
+    (MatchConfig, "workers", "REPRO_MATCH_WORKERS", "0", 0, 0),
     (StoreConfig, "chunk_rows", "REPRO_STORE_CHUNK_ROWS", "2048", 2048, 128),
     (StoreConfig, "memory_budget_mb", "REPRO_STORE_MEMORY_BUDGET_MB", "8", 8.0, 4.0),
     (StoreConfig, "compact_dead_ratio", "REPRO_STORE_COMPACT_DEAD_RATIO",
